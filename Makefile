@@ -99,6 +99,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Intersect100k' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'BenchmarkDiscoverWeather|DiscoverCached' -benchtime 1x ./
 	$(GO) test -run '^$$' -bench 'RankCover/hepatitis' -benchtime 1x ./internal/ranking/
+	$(GO) test -run '^$$' -bench 'InductHepatitis' -benchtime 1x ./internal/fdtree/
 	$(GO) run ./cmd/benchpr6 -smoke -o /dev/null
 	$(GO) run ./cmd/benchpr8 -smoke -o /dev/null
 	$(GO) run ./cmd/benchpr9 -smoke -o /dev/null

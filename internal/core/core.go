@@ -143,7 +143,7 @@ type Stats struct {
 type ddm struct {
 	r       *relation.Relation
 	singles []*partition.Partition
-	epoch   int
+	epoch   int32
 	slots   []dynPartition
 	budget  *partition.Budget
 	cache   *partition.Cache
@@ -224,7 +224,7 @@ func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree
 			if cp, cattrs := m.cache.LongestPrefix(lhs); cp != nil {
 				p, attrs = cp, cattrs
 			} else {
-				a := node.Attr
+				a := int(node.Attr)
 				p, attrs = m.singles[a], bitset.FromAttrs(n, a)
 			}
 		}

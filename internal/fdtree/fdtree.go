@@ -13,10 +13,18 @@
 // the tree. Synergized induction (Algorithm 2) preserves the invariant by
 // filtering candidate RHSs against existing generalizations and deleting
 // specializations of newly inserted FDs.
+//
+// Every extended-tree node carries two one-word summaries that prune the
+// induction walks: below, a superset of the RHS attributes at or below the
+// node, and childMask, the attributes of its children. Summary words hold
+// attributes 0..62 one bit each and fold every attribute >= 63 onto bit 63
+// ("some attribute >= 63, maybe"), so they stay exact up to 64 attributes
+// and sound, if coarser, beyond.
 package fdtree
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -25,31 +33,100 @@ import (
 )
 
 // Node is a node of an extended FD-tree. Exported fields are read by the
-// discovery algorithms; mutation goes through Tree methods.
+// discovery algorithms; mutation goes through Tree methods. The layout is
+// packed to 96 bytes on 64-bit platforms: induction allocates millions of
+// nodes, so every word shows up in the allocation totals.
 type Node struct {
-	// Attr is the attribute this node represents, -1 for the root.
-	Attr int
+	// RHS holds the FD's right-hand side when the node is an FD-node;
+	// empty or nil otherwise.
+	RHS bitset.Set
+
+	parent   *Node
+	children []*Node // sorted ascending by Attr
+
 	// ID indexes a stripped partition: values in [0, numAttrs) denote the
 	// pre-computed single-attribute partition of that attribute; values
 	// >= numAttrs denote slot ID-numAttrs of the dynamic data manager.
 	ID int
+
+	// below is a summary-word superset of the RHS attributes at or below
+	// the node: grown on every insertion, tightened by removal walks.
+	below uint64
+	// childMask is the summary word of the children's attributes.
+	childMask uint64
+
+	// Attr is the attribute this node represents, -1 for the root.
+	Attr int32
 	// Epoch is the DDM generation ID refers to. The DDM replaces its
 	// partition array whenever the controlled level advances (Algorithm 3);
 	// ids minted for an older array are stale — the situation Example 4 of
 	// the paper calls an inconsistent id — and are ignored at lookup time.
-	Epoch int
-	// RHS holds the FD's right-hand side when the node is an FD-node;
-	// empty or nil otherwise.
-	RHS bitset.Set
+	Epoch int32
+
+	subtree int32 // number of (FD-node, RHS-attribute) pairs at or below
 	// Pruned marks a node a fused top-k run abandoned: no FD at or below
 	// it can still enter the heap, so validation skips it. Only the
 	// heap's admissions are reported, never the tree, so pruned nodes
 	// merely save work.
 	Pruned bool
+}
 
-	parent   *Node
-	children []*Node // sorted ascending by Attr
-	subtree  int     // number of (FD-node, RHS-attribute) pairs at or below
+// Summary words: bits 0..62 stand for attributes 0..62, bit 63 for "some
+// attribute >= 63".
+const (
+	foldAttr = 63
+	highBit  = uint64(1) << foldAttr
+	lowMask  = highBit - 1
+)
+
+// attrBit returns attribute a's bit in a summary word.
+func attrBit(a int) uint64 {
+	if a >= foldAttr {
+		return highBit
+	}
+	return 1 << uint(a)
+}
+
+// summary folds s into a summary word.
+func summary(s bitset.Set) uint64 {
+	if len(s) == 0 {
+		return 0
+	}
+	w := s[0]
+	for _, x := range s[1:] {
+		if x != 0 {
+			return w | highBit
+		}
+	}
+	return w
+}
+
+// summaryDiff folds s \ o into a summary word without materializing it.
+func summaryDiff(s, o bitset.Set) uint64 {
+	if len(s) == 0 {
+		return 0
+	}
+	w := s[0]
+	if len(o) > 0 {
+		w &^= o[0]
+	}
+	for i := 1; i < len(s); i++ {
+		x := s[i]
+		if i < len(o) {
+			x &^= o[i]
+		}
+		if x != 0 {
+			return w | highBit
+		}
+	}
+	return w
+}
+
+// highAttrs returns the tail of the ascending attrs that the summary words
+// fold onto bit 63.
+func highAttrs(attrs []int) []int {
+	i := sort.SearchInts(attrs, foldAttr)
+	return attrs[i:]
 }
 
 // Parent returns the node's parent, nil for the root.
@@ -74,7 +151,29 @@ func (n *Node) RHSCount() int {
 }
 
 // SubtreeFDs returns the number of FDs at or below this node.
-func (n *Node) SubtreeFDs() int { return n.subtree }
+func (n *Node) SubtreeFDs() int { return int(n.subtree) }
+
+// RHSBelowWithin reports whether every RHS attribute at or below the node
+// lies in s. It reads the node's summary, a superset, so it may answer
+// false for a subtree that is within s, but never true for one that is
+// not. Attributes >= 63 count as within s only when s holds all of them.
+func (n *Node) RHSBelowWithin(s bitset.Set) bool {
+	b := n.below
+	if b == 0 {
+		return true
+	}
+	if len(s) == 0 || b&^s[0] != 0 {
+		return false
+	}
+	if b&highBit != 0 {
+		for _, w := range s[1:] {
+			if w != ^uint64(0) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // HasLiveChildren reports whether any child subtree still contains FDs.
 // A validated node with live children is "reusable" in the paper's sense:
@@ -92,7 +191,7 @@ func (n *Node) HasLiveChildren() bool {
 func (n *Node) Path(numAttrs int) bitset.Set {
 	s := bitset.New(numAttrs)
 	for cur := n; cur != nil && cur.Attr >= 0; cur = cur.parent {
-		s.Add(cur.Attr)
+		s.Add(int(cur.Attr))
 	}
 	return s
 }
@@ -106,23 +205,21 @@ func (n *Node) Depth() int {
 	return d
 }
 
+// child finds the child for attr by its rank in childMask. Attributes
+// >= 63 share one mask bit, so among the children holding them — the tail
+// of the sorted slice — the lookup falls back to a binary search.
 func (n *Node) child(attr int) *Node {
-	// Fan-out is usually tiny; a linear scan beats sort.Search's function
-	// call overhead on the hot induction paths.
-	if len(n.children) <= 8 {
-		for _, c := range n.children {
-			if c.Attr == attr {
-				return c
-			}
-			if c.Attr > attr {
-				return nil
-			}
-		}
+	bit := attrBit(attr)
+	if n.childMask&bit == 0 {
 		return nil
 	}
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].Attr >= attr })
-	if i < len(n.children) && n.children[i].Attr == attr {
-		return n.children[i]
+	if bit != highBit {
+		return n.children[bits.OnesCount64(n.childMask&(bit-1))]
+	}
+	tail := n.children[bits.OnesCount64(n.childMask&lowMask):]
+	i := sort.Search(len(tail), func(i int) bool { return int(tail[i].Attr) >= attr })
+	if i < len(tail) && int(tail[i].Attr) == attr {
+		return tail[i]
 	}
 	return nil
 }
@@ -132,13 +229,19 @@ func (n *Node) insertChild(c *Node) {
 	n.children = append(n.children, nil)
 	copy(n.children[i+1:], n.children[i:])
 	n.children[i] = c
+	n.childMask |= attrBit(int(c.Attr))
 }
 
-func (n *Node) maxChildAttr() int {
-	if len(n.children) == 0 {
-		return -1
+// tighten recomputes the node's below summary from its own RHS and its
+// live children's summaries.
+func (n *Node) tighten() {
+	b := summary(n.RHS)
+	for _, c := range n.children {
+		if c.subtree > 0 {
+			b |= c.below
+		}
 	}
-	return n.children[len(n.children)-1].Attr
+	n.below = b
 }
 
 // Tree is an extended FD-tree over a schema of numAttrs attributes.
@@ -161,10 +264,11 @@ type Tree struct {
 	// Induction scratch. The tree is single-writer (induction is serial
 	// in every algorithm), so these are reused across calls: attrsBuf by
 	// CoveredRHS/RemoveSpecializations, xAttrs by Induct's outer walk —
-	// which is live while the former run — and the sets by AddMinimalFD
-	// and specialize.
+	// which is live while the former run — remBuf by Induct for the RHS
+	// attributes it hands to specialize, and the other sets by
+	// AddMinimalFD and specialize.
 	attrsBuf, xAttrs                     []int
-	covBuf, candBuf                      bitset.Set
+	covBuf, candBuf, remBuf              bitset.Set
 	outsideBuf, lhsBuf, restBuf, pathBuf bitset.Set
 }
 
@@ -191,7 +295,7 @@ func New(numAttrs int) *Tree {
 func NewWithFullRHS(numAttrs int) *Tree {
 	t := New(numAttrs)
 	t.root.RHS = bitset.Full(numAttrs)
-	t.bump(t.root, numAttrs)
+	t.bump(t.root, numAttrs, summary(t.root.RHS))
 	return t
 }
 
@@ -202,19 +306,23 @@ func (t *Tree) NumAttrs() int { return t.numAttrs }
 func (t *Tree) Root() *Node { return t.root }
 
 // CountFDs returns the total number of FDs in the tree, counting one per
-// (FD-node, RHS attribute) pair.
-func (t *Tree) CountFDs() int { return t.root.subtree }
+// (FD-node, RHS-attribute) pair.
+func (t *Tree) CountFDs() int { return int(t.root.subtree) }
 
 func (t *Tree) newRHS() bitset.Set { return make(bitset.Set, t.words) }
 
-// bump adjusts the subtree counters from n up to the root by delta.
-func (t *Tree) bump(n *Node, delta int) {
-	if delta == 0 {
-		return
-	}
+// bump walks from n up to the root, adjusting the subtree counters by
+// delta and widening the below summaries by the RHS summary rhs, and
+// returns n's depth. Removals pass rhs = 0: a summary only has to stay a
+// superset, and the removal walks tighten it on their way back up.
+func (t *Tree) bump(n *Node, delta int, rhs uint64) int {
+	d := -1
 	for cur := n; cur != nil; cur = cur.parent {
-		cur.subtree += delta
+		cur.subtree += int32(delta)
+		cur.below |= rhs
+		d++
 	}
+	return d
 }
 
 // AddFD inserts lhs → rhs without any minimality filtering, creating the
@@ -226,7 +334,9 @@ func (t *Tree) AddFD(lhs, rhs bitset.Set) *Node {
 	}
 	before := node.RHS.Count()
 	node.RHS.UnionWith(rhs)
-	t.bump(node, node.RHS.Count()-before)
+	if added := node.RHS.Count() - before; added > 0 {
+		t.bump(node, added, summary(rhs))
+	}
 	t.noteFDDepth(lhs.Count())
 	return node
 }
@@ -247,7 +357,7 @@ func (t *Tree) addPath(lhs bitset.Set) *Node {
 		depth++
 		next := cur.child(a)
 		if next == nil {
-			next = &Node{Attr: a, parent: cur}
+			next = &Node{Attr: int32(a), parent: cur}
 			if depth > t.ControlledLevel && cur.ID >= t.numAttrs {
 				// Inherit a dynamic id: the parent's partition attributes are
 				// a subset of the parent path and hence of the child path.
@@ -264,16 +374,18 @@ func (t *Tree) addPath(lhs bitset.Set) *Node {
 
 // RemoveRHS clears one RHS attribute at the given node, maintaining the
 // subtree counters. No-op when the node is nil or lacks the attribute.
+// The below summaries stay as they are: still supersets, merely looser.
 func (t *Tree) RemoveRHS(n *Node, a int) {
 	if n == nil || n.RHS == nil || !n.RHS.Contains(a) {
 		return
 	}
 	n.RHS.Remove(a)
-	t.bump(n, -1)
+	t.bump(n, -1, 0)
 }
 
 // AddRHS sets one RHS attribute at the given node, maintaining the subtree
-// counters. No-op when the node is nil or already has the attribute.
+// counters and summaries. No-op when the node is nil or already has the
+// attribute.
 func (t *Tree) AddRHS(n *Node, a int) {
 	if n == nil {
 		return
@@ -285,8 +397,7 @@ func (t *Tree) AddRHS(n *Node, a int) {
 		return
 	}
 	n.RHS.Add(a)
-	t.bump(n, 1)
-	t.noteFDDepth(n.Depth())
+	t.noteFDDepth(t.bump(n, 1, attrBit(a)))
 }
 
 // AddMinimalFD inserts lhs → rhs while maintaining minimality: RHS
@@ -319,7 +430,9 @@ func (t *Tree) AddMinimalFD(lhs, rhs bitset.Set) int {
 	before := node.RHS.Count()
 	node.RHS.UnionWith(cand)
 	added := node.RHS.Count() - before
-	t.bump(node, added)
+	if added > 0 {
+		t.bump(node, added, summary(cand))
+	}
 	t.noteFDDepth(lhs.Count())
 	return added
 }
@@ -336,26 +449,47 @@ func (t *Tree) CoveredRHS(lhs, cand bitset.Set) bitset.Set {
 // the tree's attribute scratch.
 func (t *Tree) coveredRHSInto(lhs, cand, acc bitset.Set) {
 	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.coveredRec(t.root, t.attrsBuf, 0, cand, acc)
+	var low uint64
+	if len(lhs) > 0 {
+		low = lhs[0] & lowMask
+	}
+	t.coveredRec(t.root, low, highAttrs(t.attrsBuf), cand, acc)
 }
 
-func (t *Tree) coveredRec(cur *Node, lhsAttrs []int, i int, cand, acc bitset.Set) bool {
+// coveredRec visits the children on lhs paths — low, the lhs attributes
+// below 63, intersected with the child mask, then the high attributes one
+// by one — skipping every subtree whose summary holds none of the still
+// uncovered candidates.
+func (t *Tree) coveredRec(cur *Node, low uint64, high []int, cand, acc bitset.Set) bool {
 	if cur.RHS != nil {
 		acc.UnionIntersection(cur.RHS, cand)
 		if cand.IsSubsetOf(acc) {
 			return true // everything covered; stop early
 		}
 	}
-	for j := i; j < len(lhsAttrs); j++ {
-		a := lhsAttrs[j]
-		if a > cur.maxChildAttr() {
-			return false
+	need := summaryDiff(cand, acc)
+	for m := low & cur.childMask; m != 0; m &= m - 1 {
+		c := cur.children[bits.OnesCount64(cur.childMask&(m&-m-1))]
+		if c.subtree == 0 || c.below&need == 0 {
+			continue
 		}
-		if c := cur.child(a); c != nil && c.subtree > 0 {
-			if t.coveredRec(c, lhsAttrs, j+1, cand, acc) {
-				return true
-			}
+		if t.coveredRec(c, low, high, cand, acc) {
+			return true
 		}
+		need = summaryDiff(cand, acc)
+	}
+	if cur.childMask&highBit == 0 {
+		return false
+	}
+	for _, a := range high {
+		c := cur.child(a)
+		if c == nil || c.subtree == 0 || c.below&need == 0 {
+			continue
+		}
+		if t.coveredRec(c, low, high, cand, acc) {
+			return true
+		}
+		need = summaryDiff(cand, acc)
 	}
 	return false
 }
@@ -373,43 +507,61 @@ func (t *Tree) ContainsGeneralization(lhs bitset.Set, a int) bool {
 // FD afterwards, so clearing an equal node first is harmless).
 func (t *Tree) RemoveSpecializations(lhs, rhs bitset.Set) {
 	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.removeSpecRec(t.root, t.attrsBuf, 0, rhs)
+	t.removeSpecRec(t.root, t.attrsBuf, 0, rhs, summary(rhs))
 }
 
-func (t *Tree) removeSpecRec(cur *Node, remaining []int, i int, rhs bitset.Set) {
+// removeSpecRec clears rhs (summary sum) from every FD-node below cur
+// whose path holds remaining[i:], and returns the number of FDs removed.
+// Each node on the walk settles its own subtree counter and tightens its
+// summary on the way back up, so no removal walks to the root.
+func (t *Tree) removeSpecRec(cur *Node, remaining []int, i int, rhs bitset.Set, sum uint64) int {
 	if i >= len(remaining) {
 		// Every lhs attribute matched: clear rhs bits in this whole subtree.
-		t.clearSubtree(cur, rhs)
-		return
+		return t.clearSubtree(cur, rhs, sum)
 	}
 	m := remaining[i]
+	removed := 0
 	for _, c := range cur.children {
-		if c.Attr > m {
+		if int(c.Attr) > m {
 			break // m can no longer occur below later children
 		}
-		if c.subtree == 0 {
+		if c.subtree == 0 || c.below&sum == 0 {
 			continue
 		}
-		if c.Attr == m {
-			t.removeSpecRec(c, remaining, i+1, rhs)
+		if int(c.Attr) == m {
+			removed += t.removeSpecRec(c, remaining, i+1, rhs, sum)
 		} else {
-			t.removeSpecRec(c, remaining, i, rhs)
+			removed += t.removeSpecRec(c, remaining, i, rhs, sum)
 		}
 	}
+	if removed > 0 {
+		cur.subtree -= int32(removed)
+		cur.tighten()
+	}
+	return removed
 }
 
-func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set) {
-	if cur.subtree == 0 {
-		return
+// clearSubtree clears rhs (summary sum) from every FD-node at or below cur
+// and returns the number of FDs removed, settling counters and summaries
+// like removeSpecRec.
+func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set, sum uint64) int {
+	if cur.subtree == 0 || cur.below&sum == 0 {
+		return 0
 	}
+	removed := 0
 	if cur.RHS != nil && cur.RHS.Intersects(rhs) {
 		before := cur.RHS.Count()
 		cur.RHS.DifferenceWith(rhs)
-		t.bump(cur, cur.RHS.Count()-before)
+		removed = before - cur.RHS.Count()
 	}
 	for _, c := range cur.children {
-		t.clearSubtree(c, rhs)
+		removed += t.clearSubtree(c, rhs, sum)
 	}
+	if removed > 0 {
+		cur.subtree -= int32(removed)
+		cur.tighten()
+	}
+	return removed
 }
 
 // Induct applies the non-FD x ↛ y with synergized induction (Algorithm 2):
@@ -419,32 +571,63 @@ func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set) {
 func (t *Tree) Induct(x, y bitset.Set) int {
 	removedTotal := 0
 	t.xAttrs = x.AppendAttrs(t.xAttrs[:0])
+	var low uint64
+	if len(x) > 0 {
+		low = x[0] & lowMask
+	}
 	path := t.scratchSet(&t.pathBuf)
 	path.Clear()
-	t.inductRec(t.root, t.xAttrs, 0, x, y, path, &removedTotal)
+	t.inductRec(t.root, low, highAttrs(t.xAttrs), x, y, summary(y), path, &removedTotal)
 	return removedTotal
 }
 
-func (t *Tree) inductRec(cur *Node, xAttrs []int, i int, x, y, path bitset.Set, removedTotal *int) {
+// inductRec visits the x paths below cur like coveredRec, skipping every
+// subtree whose summary misses y, and reports whether it removed anything
+// at or below cur. Specialization inserts new nodes mid-walk, so the child
+// mask is re-read after every visit.
+func (t *Tree) inductRec(cur *Node, low uint64, high []int, x, y bitset.Set, ySum uint64, path bitset.Set, removedTotal *int) bool {
+	changed := false
 	if cur.RHS != nil && cur.RHS.Intersects(y) {
-		removed := cur.RHS.Intersect(y)
+		removed := t.scratchSet(&t.remBuf)
+		copy(removed, cur.RHS)
+		removed.IntersectWith(y)
 		n := removed.Count()
 		cur.RHS.DifferenceWith(y)
-		t.bump(cur, -n)
+		t.bump(cur, -n, 0)
 		*removedTotal += n
 		t.specialize(path, x, removed)
+		changed = true
 	}
-	for j := i; j < len(xAttrs); j++ {
-		a := xAttrs[j]
-		if a > cur.maxChildAttr() {
-			return
-		}
-		if c := cur.child(a); c != nil {
+	for m := low & cur.childMask; m != 0; {
+		bit := m & -m
+		c := cur.children[bits.OnesCount64(cur.childMask&(bit-1))]
+		if c.below&ySum != 0 {
+			a := bits.TrailingZeros64(bit)
 			path.Add(a)
-			t.inductRec(c, xAttrs, j+1, x, y, path, removedTotal)
+			if t.inductRec(c, low, high, x, y, ySum, path, removedTotal) {
+				changed = true
+			}
+			path.Remove(a)
+		}
+		m = low & cur.childMask &^ (bit<<1 - 1)
+	}
+	if cur.childMask&highBit != 0 {
+		for _, a := range high {
+			c := cur.child(a)
+			if c == nil || c.below&ySum == 0 {
+				continue
+			}
+			path.Add(a)
+			if t.inductRec(c, low, high, x, y, ySum, path, removedTotal) {
+				changed = true
+			}
 			path.Remove(a)
 		}
 	}
+	if changed {
+		cur.tighten()
+	}
+	return changed
 }
 
 // specialize inserts the minimal non-trivial candidates that replace the
@@ -532,9 +715,9 @@ func (t *Tree) FDs() []dep.FD {
 			out = append(out, dep.FD{LHS: path.Clone(), RHS: n.RHS.Clone()})
 		}
 		for _, c := range n.children {
-			path.Add(c.Attr)
+			path.Add(int(c.Attr))
 			walk(c)
-			path.Remove(c.Attr)
+			path.Remove(int(c.Attr))
 		}
 	}
 	walk(t.root)
@@ -558,9 +741,9 @@ func (t *Tree) ForEachFD(fn func(lhs bitset.Set, n *Node)) {
 			fn(path, n)
 		}
 		for _, c := range n.children {
-			path.Add(c.Attr)
+			path.Add(int(c.Attr))
 			walk(c)
-			path.Remove(c.Attr)
+			path.Remove(int(c.Attr))
 		}
 	}
 	walk(t.root)
