@@ -79,17 +79,19 @@ bench-pr6:
 bench-pr7:
 	$(GO) run ./cmd/benchpr7 -o BENCH_pr7.json
 
-# The sharded PLI bootstrap (shard-count scaling curve, byte-identity
-# checked per cell) and the out-of-core spill tier (a DFD working set
-# >10x the cache budget, covers compared across resident and spill legs,
-# peak RSS measured in child processes). Emits its JSON directly.
+# The sharded PLI bootstrap (partition.Kernels.Singles shard-count
+# scaling curve against per-column Single, byte-identity checked per
+# cell) and the out-of-core spill tier (a DFD working set >10x the cache
+# budget, covers compared across resident and spill legs, peak RSS
+# measured in child processes). Emits its JSON directly.
 bench-pr8:
 	$(GO) run ./cmd/benchpr8 -o BENCH_pr8.json
 
-# The sharded multi-attribute kernels (Refine/Intersect shard-count
-# curves, byte-identity checked per cell) and the off-heap column pager
-# (a 600k-row DFD run, covers compared across resident and paged legs,
-# peak RSS measured in child processes). Emits its JSON directly.
+# The sharded multi-attribute kernels (partition.Kernels.Refine/Intersect
+# shard-count curves against a one-worker Kernels as the serial leg,
+# byte-identity checked per cell) and the off-heap column pager (a
+# 600k-row DFD run, covers compared across resident and paged legs, peak
+# RSS measured in child processes). Emits its JSON directly.
 bench-pr9:
 	$(GO) run ./cmd/benchpr9 -o BENCH_pr9.json
 

@@ -203,11 +203,11 @@ func shardCurve(iters int, smoke bool) (shardReport, error) {
 		for _, shards := range []int{1, 2, 4, 8, 16} {
 			shardSize := (rows + shards - 1) / shards
 			for _, workers := range workerSet {
-				pool := engine.NewPool(workers)
+				kern := partition.NewKernels(engine.NewPool(workers), shardSize, nil)
 				var built []*partition.Partition
 				ns := minNs(iters, func() error {
 					var berr error
-					built, berr = partition.BuildSingles(ctx, pool, attrs, r.Cols, r.Cards, shardSize)
+					built, _, berr = kern.Singles(ctx, r.Cols, r.Cards, nil)
 					return berr
 				})
 				cell := shardCell{Shards: shards, ShardSize: shardSize, Workers: workers, Ns: ns, Identical: true}

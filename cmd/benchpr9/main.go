@@ -162,8 +162,9 @@ func main() {
 	}
 }
 
-// kernelCurves times the sharded Refine and Intersect kernels against
-// their serial forms on one ncvoter-shaped relation. A breached gate is
+// kernelCurves times partition.Kernels' Refine and Intersect at every
+// (shards, workers) cell against a one-worker Kernels — the serial
+// kernel — on one ncvoter-shaped relation. A breached gate is
 // re-measured up to twice; only a reproducible breach fails the harness.
 func kernelCurves(iters int, smoke bool) (shardReport, error) {
 	rows, cols := 400_000, 10
@@ -182,38 +183,36 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 	// few hundred medium clusters, the shape mid-lattice walks live in.
 	// (ncvoter's leading columns are near-keys; starting there would strip
 	// the parent to nothing and time an empty kernel.)
-	parent := partition.Refine(partition.Single(r.Cols[4], r.Cards[4]), r.Cols[5], r.Cards[5])
-	probe := partition.NewProbeTable(partition.Single(r.Cols[6], r.Cards[6]))
 	ctx := context.Background()
+	parent, err := partition.NewKernels(nil, 0, nil).Refine(ctx, partition.Single(r.Cols[4], r.Cards[4]), r.Cols[5], r.Cards[5])
+	if err != nil {
+		return shardReport{}, err
+	}
+	probe := partition.NewProbeTable(partition.Single(r.Cols[6], r.Cards[6]))
 
+	// Each kernel runs through partition.Kernels; the serial leg is a
+	// one-worker Kernels, which takes the serial kernel directly.
 	type kernel struct {
-		name    string
-		serial  func() *partition.Partition
-		sharded func(pool *engine.Pool, shardSize int) (*partition.Partition, error)
+		name string
+		run  func(k *partition.Kernels) (*partition.Partition, error)
 	}
 	kernels := []kernel{
-		{
-			name:   "refine",
-			serial: func() *partition.Partition { return partition.Refine(parent, r.Cols[1], r.Cards[1]) },
-			sharded: func(pool *engine.Pool, shardSize int) (*partition.Partition, error) {
-				return partition.RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], shardSize)
-			},
-		},
-		{
-			name:   "intersect",
-			serial: func() *partition.Partition { return partition.NewIntersector().Intersect(parent, probe) },
-			sharded: func(pool *engine.Pool, shardSize int) (*partition.Partition, error) {
-				return partition.IntersectSharded(ctx, pool, parent, probe, shardSize)
-			},
-		},
+		{"refine", func(k *partition.Kernels) (*partition.Partition, error) {
+			return k.Refine(ctx, parent, r.Cols[1], r.Cards[1])
+		}},
+		{"intersect", func(k *partition.Kernels) (*partition.Partition, error) {
+			return k.Intersect(ctx, parent, probe)
+		}},
 	}
 
 	measure := func(k kernel) kernelReport {
 		kr := kernelReport{Kernel: k.name}
 		var want *partition.Partition
+		serial := partition.NewKernels(nil, 0, nil)
 		kr.SerialNs = minNs(iters, func() error {
-			want = k.serial()
-			return nil
+			var err error
+			want, err = k.run(serial)
+			return err
 		})
 		workerSet := []int{1}
 		if n := runtime.NumCPU(); n > 1 {
@@ -222,11 +221,11 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 		for _, shards := range []int{1, 2, 4, 8, 16} {
 			shardSize := (rows + shards - 1) / shards
 			for _, workers := range workerSet {
-				pool := engine.NewPool(workers)
+				kern := partition.NewKernels(engine.NewPool(workers), shardSize, nil)
 				var got *partition.Partition
 				ns := minNs(iters, func() error {
 					var berr error
-					got, berr = k.sharded(pool, shardSize)
+					got, berr = k.run(kern)
 					return berr
 				})
 				cell := kernelCell{

@@ -339,10 +339,10 @@ func withoutPostVerify() Option {
 }
 
 // PLICache is a caller-owned, size-bounded LRU cache of stripped
-// partitions that a whole discover→rank pipeline shares: pass it to
-// Discover via WithCache and to RankWith / TotalRedundancyWith via
-// RankConfig, and the partitions discovery builds are reused by ranking
-// (and by later runs over the same relation) instead of being rebuilt.
+// partitions that a whole discover→rank pipeline shares: pass it with
+// WithCache to Discover and to Rank / TotalRedundancy / RankForColumn,
+// and the partitions discovery builds are reused by ranking (and by
+// later runs over the same relation) instead of being rebuilt.
 // A PLICache is safe for concurrent use; it serves partitions of one
 // relation shape — the first run pins the row count.
 type PLICache struct {

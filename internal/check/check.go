@@ -6,6 +6,7 @@ package check
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/dep"
@@ -24,19 +25,16 @@ type Violation struct {
 // FD returns up to limit violations of f on r (0 = all). An empty result
 // means the FD holds.
 func FD(r *relation.Relation, f dep.FD, limit int) []Violation {
-	return fdViolations(r, f, limit, nil)
+	return violations(r, f, partitionOf(r, f.LHS).Clusters, limit)
 }
 
-// fdViolations is FD with an optional PLI cache supplying (or receiving)
-// the LHS partition. The cache must have been filled from the same
-// relation r — VerifyCover guarantees that by dropping the cache when it
-// verifies a row sample.
-func fdViolations(r *relation.Relation, f dep.FD, limit int, cache *partition.Cache) []Violation {
+// violations returns up to limit (0 = all) witness pairs against f from
+// clusters of π_LHS: within a cluster all rows agree on the LHS, so each
+// row differing from the cluster's first row on an RHS attribute is one
+// witness.
+func violations(r *relation.Relation, f dep.FD, clusters [][]int32, limit int) []Violation {
 	var out []Violation
-	p := partition.ForAttrsCached(cache, f.LHS, r.Cols, r.Cards)
-	for _, cluster := range p.Clusters {
-		// Within a cluster all rows agree on the LHS; group by each RHS
-		// attribute and report one witness per differing row.
+	for _, cluster := range clusters {
 		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 			first := cluster[0]
 			for _, row := range cluster[1:] {
@@ -50,6 +48,17 @@ func fdViolations(r *relation.Relation, f dep.FD, limit int, cache *partition.Ca
 		}
 	}
 	return out
+}
+
+// partitionOf materializes π_X serially and uncached for the ctx-less
+// checkers.
+func partitionOf(r *relation.Relation, x bitset.Set) *partition.Partition {
+	//fdvet:ignore ctxflow ctx-less convenience checkers; VerifyCover is the primary API until=PR20
+	p, _, err := partition.NewKernels(nil, 0, nil).ForAttrs(context.Background(), x, r.Cols, r.Cards)
+	if err != nil {
+		panic(err) // a one-worker build fails only on cancellation
+	}
+	return p
 }
 
 // Holds reports whether f holds on r.
@@ -92,13 +101,13 @@ type VerifyOptions struct {
 	// wrongly confirm one beyond what full verification would. 0 keeps
 	// exact verification.
 	MaxViolations int
-	// Workers shards each FD's violation scan across a worker pool: the
-	// LHS partition materializes through the sharded kernels and its
-	// clusters split into ~ShardSize-row ranges scanned concurrently,
+	// Workers is the width of the pool each FD's violation scan runs on:
+	// the LHS partition materializes through partition.Kernels and its
+	// clusters split into ~ShardSize-row ranges scanned as pool items,
 	// with the per-shard verdicts (or capped g3 counts) reconciled into
 	// the pass/fail decision. Clusters violate independently, so the
-	// decision matches the serial scan at every shard size. <= 1 keeps
-	// the serial scan.
+	// decision is the same at every width and shard size. <= 1 scans on
+	// one worker.
 	Workers int
 	// ShardSize is the rows per verification shard; 0 selects
 	// partition.DefaultShardSize.
@@ -155,30 +164,27 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 		// must neither serve nor enter the cache here.
 		cache = nil
 	}
-	var pool *engine.Pool
-	if opts.Workers > 1 {
-		pool = engine.NewPool(opts.Workers)
-	}
+	pool := engine.NewPool(opts.Workers)
+	kern := partition.NewKernels(pool, opts.ShardSize, cache)
 	rep.Sound = make([]dep.FD, 0, len(fds))
 	for _, f := range fds {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
+		p, _, err := kern.ForAttrs(ctx, f.LHS, target.Cols, target.Cards)
+		if err != nil {
+			return rep, err
+		}
+		cuts := partition.ShardClusters(p.Clusters, opts.ShardSize)
 		var sound bool
-		var err error
-		switch {
-		case opts.MaxViolations > 0 && pool != nil:
+		if opts.MaxViolations > 0 {
 			var total int
-			total, err = fdG3ViolationsSharded(ctx, target, f, opts.MaxViolations, cache, pool, opts.ShardSize)
+			total, err = g3Violations(ctx, pool, target, f, p, cuts, opts.MaxViolations)
 			sound = total <= opts.MaxViolations
-		case opts.MaxViolations > 0:
-			sound = fdG3Violations(target, f, opts.MaxViolations, cache) <= opts.MaxViolations
-		case pool != nil:
+		} else {
 			var violated bool
-			violated, err = fdViolatedSharded(ctx, target, f, cache, pool, opts.ShardSize)
+			violated, err = fdViolated(ctx, pool, target, f, p, cuts)
 			sound = !violated
-		default:
-			sound = len(fdViolations(target, f, 1, cache)) == 0
 		}
 		if err != nil {
 			return rep, err
@@ -192,69 +198,35 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 	return rep, nil
 }
 
-// fdViolatedSharded decides exact violation existence per-shard: the LHS
-// partition materializes through the sharded kernels, its clusters
-// split into ranges scanned concurrently, and any shard's witness
-// refutes the FD — the same decision the serial one-witness scan makes.
-func fdViolatedSharded(ctx context.Context, r *relation.Relation, f dep.FD, cache *partition.Cache, pool *engine.Pool, shardSize int) (bool, error) {
-	p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
-	if err != nil {
-		return false, err
-	}
-	cuts := partition.ShardClusters(p.Clusters, shardSize)
-	nshards := len(cuts) - 1
-	violated := make([]bool, nshards)
-	err = pool.Run(ctx, nshards, func(_, s int) {
-		violated[s] = clustersViolate(r, f, p.Clusters[cuts[s]:cuts[s+1]])
+// fdViolated decides exact violation existence per shard: the clusters
+// of p = π_LHS, split at cuts, are scanned as pool items, and any
+// shard's witness refutes the FD.
+func fdViolated(ctx context.Context, pool *engine.Pool, r *relation.Relation, f dep.FD, p *partition.Partition, cuts []int) (bool, error) {
+	violated := make([]bool, len(cuts)-1)
+	err := pool.Run(ctx, len(violated), func(_, s int) {
+		violated[s] = len(violations(r, f, p.Clusters[cuts[s]:cuts[s+1]], 1)) > 0
 	})
-	if err != nil {
-		return false, err
-	}
-	for _, v := range violated {
-		if v {
-			return true, nil
-		}
-	}
-	return false, nil
+	return slices.Contains(violated, true), err
 }
 
-// clustersViolate reports whether any cluster of the range holds a
-// witness pair against f.
-func clustersViolate(r *relation.Relation, f dep.FD, clusters [][]int32) bool {
-	for _, cluster := range clusters {
-		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-			first := cluster[0]
-			for _, row := range cluster[1:] {
-				if r.Cols[a][row] != r.Cols[a][first] {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// fdG3ViolationsSharded counts g3 violations per-shard with per-shard
-// limit caps. Clusters violate independently, so the reconciled sum
-// decides "total > limit" exactly like the serial count: when a shard
-// early-exits it alone exceeds the limit (the true total can only be
-// larger), and when none does every per-shard count is exact.
-func fdG3ViolationsSharded(ctx context.Context, r *relation.Relation, f dep.FD, limit int, cache *partition.Cache, pool *engine.Pool, shardSize int) (int, error) {
-	p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cache, f.LHS, r.Cols, r.Cards, shardSize)
-	if err != nil {
-		return 0, err
-	}
+// g3Violations counts the g3 violations of f — the rows to delete so f
+// holds exactly — summed over f's RHS attributes, per shard of p =
+// π_LHS with per-shard limit caps. Clusters violate independently, so
+// the reconciled sum decides "total > limit" exactly like a whole-
+// partition count: when a shard early-exits it alone exceeds the limit
+// (the true total can only be larger), and when none does every
+// per-shard count is exact.
+func g3Violations(ctx context.Context, pool *engine.Pool, r *relation.Relation, f dep.FD, p *partition.Partition, cuts []int, limit int) (int, error) {
+	counts := make([]int, len(cuts)-1)
+	counters := make([]*partition.G3Counter, pool.Workers())
 	total := 0
-	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-		cuts := partition.ShardClusters(p.Clusters, shardSize)
-		nshards := len(cuts) - 1
-		if nshards <= 0 {
-			continue
-		}
-		counts := make([]int, nshards)
+	for a := f.RHS.Next(0); a >= 0 && len(counts) > 0; a = f.RHS.Next(a + 1) {
 		col, card := r.Cols[a], r.Cards[a]
-		err := pool.Run(ctx, nshards, func(_, s int) {
-			counts[s] = partition.NewG3Counter(card).ViolationsClusters(p.Clusters[cuts[s]:cuts[s+1]], col, card, limit)
+		err := pool.Run(ctx, len(counts), func(w, s int) {
+			if counters[w] == nil {
+				counters[w] = partition.NewG3Counter(card)
+			}
+			counts[s] = counters[w].ViolationsClusters(p.Clusters[cuts[s]:cuts[s+1]], col, card, limit)
 		})
 		if err != nil {
 			return 0, err
@@ -269,26 +241,10 @@ func fdG3ViolationsSharded(ctx context.Context, r *relation.Relation, f dep.FD, 
 	return total, nil
 }
 
-// fdG3Violations counts the g3 violations of f on r — the rows to delete
-// so f holds exactly — summed over f's RHS attributes (covers are
-// singleton-RHS in practice) and stopping early past limit.
-func fdG3Violations(r *relation.Relation, f dep.FD, limit int, cache *partition.Cache) int {
-	p := partition.ForAttrsCached(cache, f.LHS, r.Cols, r.Cards)
-	total := 0
-	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
-		total += partition.G3Violations(p, r.Cols[a], r.Cards[a], limit)
-		if total > limit {
-			return total
-		}
-	}
-	return total
-}
-
 // Keys verifies that an attribute set is unique on r, returning a
 // duplicate row pair if not.
 func Keys(r *relation.Relation, key bitset.Set) (int, int, bool) {
-	p := partition.ForAttrs(key, r.Cols, r.Cards)
-	for _, cluster := range p.Clusters {
+	for _, cluster := range partitionOf(r, key).Clusters {
 		if len(cluster) >= 2 {
 			return int(cluster[0]), int(cluster[1]), false
 		}

@@ -25,7 +25,8 @@
 // Both validation hot paths run on the shared engine.Pool: per-level
 // candidate validation fans out over per-worker validators, and DDM
 // refreshes batch their partition refinements through
-// partition.RefineBatch. Workers: 1 keeps the paper's serial behaviour.
+// partition.Kernels.RefineAll. Workers: 1 keeps the paper's serial
+// behaviour.
 package core
 
 import (
@@ -147,6 +148,7 @@ type ddm struct {
 	slots   []dynPartition
 	budget  *partition.Budget
 	cache   *partition.Cache
+	kern    *partition.Kernels
 }
 
 type dynPartition struct {
@@ -160,8 +162,9 @@ func newDDM(ctx context.Context, pool *engine.Pool, r *relation.Relation, cfg *C
 		epoch:  1,
 		budget: cfg.Budget,
 		cache:  cfg.Cache,
+		kern:   partition.NewKernels(pool, cfg.ShardSize, cfg.Cache),
 	}
-	singles, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
+	singles, built, err := m.kern.Singles(ctx, r.Cols, r.Cards, cfg.Budget)
 	m.singles = singles
 	return m, built, err
 }
@@ -195,12 +198,12 @@ func (m *ddm) partitionFor(node *fdtree.Node, lhs bitset.Set) (*partition.Partit
 // reusable nodes at the new controlled level. Each node's partition starts
 // from its consistent dynamic partition (or its own singleton) and is
 // refined by the missing path attributes — refinements run as one
-// partition.RefineBatchPool on the caller's worker pool, since the jobs
-// are independent (and the pool's retry policy supervises them); the node
+// Kernels.RefineAll on the run's worker pool, since the jobs are
+// independent (and the pool's retry policy supervises them); the node
 // then receives the new slot id and propagates it to its descendants. On
 // cancellation the DDM is left untouched (the old epoch stays consistent)
 // and ctx's error is returned.
-func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree.Node) error {
+func (m *ddm) update(ctx context.Context, reusables []*fdtree.Node) error {
 	if err := faults.Hit(faults.DDMRefresh); err != nil {
 		return err
 	}
@@ -238,7 +241,7 @@ func (m *ddm) update(ctx context.Context, pool *engine.Pool, reusables []*fdtree
 		}
 		jobs[k] = job
 	}
-	parts, err := partition.RefineBatchPool(ctx, pool, jobs)
+	parts, err := m.kern.RefineAll(ctx, jobs)
 	if err != nil {
 		return err
 	}
@@ -397,7 +400,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		numFDs = int(lf.NumFDs)
 		startLevel = int(lf.Level)
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
 		stop()
 	} else {
 		tree = fdtree.NewWithFullRHS(n)
@@ -586,7 +589,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 				}
 				tree.ControlledLevel = vl
 				stop = rs.Phase("refine")
-				err := m.update(ctx, pool, reusables)
+				err := m.update(ctx, reusables)
 				stop()
 				if err != nil {
 					return finish(err)

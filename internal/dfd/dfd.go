@@ -134,6 +134,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	}()
 	n := r.NumCols()
 	var out []dep.FD
+	pool := engine.NewPool(cfg.Workers)
 	d := &dfd{
 		r:       r,
 		n:       n,
@@ -141,18 +142,15 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		sizes:   map[string]int{},
 		rng:     rand.New(rand.NewSource(0x0dfd)),
 		budget:  cfg.Budget,
-		cache:   cfg.Cache,
 		maxViol: cfg.MaxViolations,
+		pool:    pool,
+		kern:    partition.NewKernels(pool, cfg.ShardSize, cfg.Cache),
+		pctx:    context.WithoutCancel(ctx),
 	}
 	if cfg.MaxViolations > 0 {
 		d.g3c = partition.NewG3Counter(0)
 	}
-	if cfg.Workers > 1 {
-		d.pool = engine.NewPool(cfg.Workers)
-		d.pctx = context.WithoutCancel(ctx)
-		d.shardSize = cfg.ShardSize
-		rs.Workers = cfg.Workers
-	}
+	rs.Workers = pool.Workers()
 	cache0 := cfg.Cache.Stats()
 	defer func() {
 		delta := cfg.Cache.Stats().Delta(cache0)
@@ -171,7 +169,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
 		valBase, builtBase = f.Validations, f.PartitionsBuilt
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
 	}
 	// tick snapshots the walk cursor: attributes below next are fully
 	// decided, their minimal FDs are in out, and everything else is
@@ -206,9 +204,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
 		rs.CandidatesValidated = valBase + int64(len(d.errs))
 		rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-		if d.pool != nil {
-			d.pool.FoldShardStats(rs)
-		}
+		d.pool.FoldShardStats(rs)
 		flushTopK()
 		rs.Finish(err)
 		if cfg.TopK != nil {
@@ -219,16 +215,11 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		return nil, rs, err
 	}
 	if cfg.Cache != nil {
-		// Prewarm the cache with every single-attribute partition through
-		// the sharded builder — on the run's pool when one is attached —
-		// so walks always find a prefix start instead of rebuilding
-		// singles mid-walk. The cache owns the bytes (and charges its own
-		// budget); no transient materialization charge.
-		prewarmPool := d.pool
-		if prewarmPool == nil {
-			prewarmPool = engine.NewPool(1)
-		}
-		_, built, err := partition.Singles(ctx, prewarmPool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, nil)
+		// Prewarm the cache with every single-attribute partition, on
+		// the run's pool, so walks always find a prefix start instead of
+		// rebuilding singles mid-walk. The cache owns the bytes (and
+		// charges its own budget); no transient materialization charge.
+		_, built, err := d.kern.Singles(ctx, r.Cols, r.Cards, nil)
 		prewarmBuilt = int64(built)
 		if err != nil {
 			return fail(err)
@@ -307,9 +298,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	rs.FDs = int64(len(out))
 	rs.CandidatesValidated = valBase + int64(len(d.errs))
 	rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-	if d.pool != nil {
-		d.pool.FoldShardStats(rs)
-	}
+	d.pool.FoldShardStats(rs)
 	flushTopK()
 	rs.Finish(nil)
 	return out, rs, nil
@@ -322,16 +311,16 @@ type dfd struct {
 	sizes   map[string]int // partition size cache (‖π_X‖), same keys
 	rng     *rand.Rand
 	budget  *partition.Budget
-	cache   *partition.Cache
 	maxViol int
 	g3c     *partition.G3Counter
-	// pool, when non-nil, shards materializations across its workers. It
-	// runs under a non-cancellable context — cancellation is observed at
-	// the walk boundaries exactly as in the serial run — so pool failures
-	// are genuine panics, re-raised into Run's recovery.
-	pool      *engine.Pool
-	pctx      context.Context
-	shardSize int
+	// kern materializes partitions on pool, sharding them across its
+	// workers when it has more than one. It runs under a non-cancellable
+	// context — cancellation is observed at the walk boundaries exactly
+	// as in the serial run — so kernel failures are genuine panics,
+	// re-raised into Run's recovery.
+	pool *engine.Pool
+	kern *partition.Kernels
+	pctx context.Context
 }
 
 // errorOf returns e(X) = ‖π_X‖ − |π_X|, cached. Each miss materializes a
@@ -362,20 +351,13 @@ func (d *dfd) sizeOf(x bitset.Set) int {
 
 // materialize builds π_X, charges it against the budget (returning the
 // bytes immediately — only the measures are kept here) and records both
-// measures under k. With a pool attached the build shards across it,
-// byte-identical to the serial kernels; a pool failure re-raises into
-// Run's recovery (the pool context cannot be cancelled, so the failure
-// is a genuine worker panic).
+// measures under k. A kernel failure re-raises into Run's recovery (the
+// kernels' context cannot be cancelled, so the failure is a genuine
+// worker panic).
 func (d *dfd) materialize(k string, x bitset.Set) *partition.Partition {
-	var p *partition.Partition
-	if d.pool != nil {
-		var err error
-		p, _, err = partition.ForAttrsCachedSharded(d.pctx, d.pool, d.cache, x, d.r.Cols, d.r.Cards, d.shardSize)
-		if err != nil {
-			panic(err)
-		}
-	} else {
-		p = partition.ForAttrsCached(d.cache, x, d.r.Cols, d.r.Cards)
+	p, _, err := d.kern.ForAttrs(d.pctx, x, d.r.Cols, d.r.Cards)
+	if err != nil {
+		panic(err)
 	}
 	d.budget.Charge(p)
 	d.budget.Release(p)

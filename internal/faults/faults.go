@@ -30,20 +30,22 @@ type Site string
 // The instrumented sites. Arm accepts any Site value, so tests may define
 // private sites of their own, but these are the ones the runtime hits.
 const (
-	// PartitionBuild fires in partition.Single, the stripped-partition
-	// constructor every algorithm's setup runs per column.
+	// PartitionBuild fires once per built attribute in partition.Single
+	// and the sharded builder behind partition.Kernels.Singles, the
+	// stripped-partition constructors every algorithm's setup runs.
 	PartitionBuild Site = "partition.build"
 	// PartitionShardMerge fires once per shard inside the scatter step of
-	// the sharded single-attribute builder (partition.BuildSingles), the
-	// merge that lays per-shard groups into the shared compact backing.
+	// the sharded single-attribute builder (Kernels.Singles on a pool
+	// wider than one worker), the merge that lays per-shard groups into
+	// the shared compact backing.
 	PartitionShardMerge Site = "partition.shardmerge"
-	// PartitionIntersect fires in partition.Intersect, TANE's per-level
-	// PLI product (usually on a pool worker).
+	// PartitionIntersect fires once per PLI product, in
+	// partition.Kernels.Intersect and per Kernels.IntersectAll job.
 	PartitionIntersect Site = "partition.intersect"
 	// PartitionRefineShard fires once per shard inside the stitch step of
-	// the sharded multi-attribute kernels (partition.RefineSharded and
-	// partition.IntersectSharded), the scatter that lays per-shard
-	// sub-clusters into the shared compact backing.
+	// the sharded multi-attribute kernels (Kernels.Refine and
+	// Kernels.Intersect on a pool wider than one worker), the scatter
+	// that lays per-shard sub-clusters into the shared compact backing.
 	PartitionRefineShard Site = "partition.refineshard"
 	// DDMRefresh fires at the start of a DHyFD dynamic-data-manager
 	// refresh (Algorithm 3).

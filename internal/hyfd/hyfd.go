@@ -301,7 +301,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		rs.CacheEvictions += delta.Evictions
 	}()
 	stop := rs.Phase("sample")
-	plis, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
+	plis, built, err := partition.NewKernels(pool, cfg.ShardSize, cfg.Cache).Singles(ctx, r.Cols, r.Cards, cfg.Budget)
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
 		stop()
@@ -351,7 +351,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 				smp.runs[i].exhausted = rec.Exhausted
 			}
 		}
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
 		stop()
 	} else {
 		nonFDs = sampling.NewNonFDSet(n)

@@ -100,8 +100,11 @@ func bruteApproxCover(r *relation.Relation, maxViol int) []dep.FD {
 			if s.Contains(a) {
 				continue
 			}
-			p := partition.ForAttrs(s, r.Cols, r.Cards)
-			valid[a][s.Key()] = partition.G3Violations(p, r.Cols[a], r.Cards[a], maxViol) <= maxViol
+			p, _, err := partition.NewKernels(nil, 0, nil).ForAttrs(context.Background(), s, r.Cols, r.Cards)
+			if err != nil {
+				panic(err)
+			}
+			valid[a][s.Key()] = partition.NewG3Counter(r.Cards[a]).Violations(p, r.Cols[a], r.Cards[a], maxViol) <= maxViol
 		}
 	}
 	var out []dep.FD
@@ -249,9 +252,12 @@ func TestTopKCancellationMidPrune(t *testing.T) {
 			}
 			// Soundness: whatever made it into the heap holds on the data.
 			for _, f := range res.FDs {
-				p := partition.ForAttrs(f.LHS, r.Cols, r.Cards)
+				p, _, err := partition.NewKernels(nil, 0, nil).ForAttrs(context.Background(), f.LHS, r.Cols, r.Cards)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for rhs := f.RHS.Next(0); rhs >= 0; rhs = f.RHS.Next(rhs + 1) {
-					if partition.G3Violations(p, r.Cols[rhs], r.Cards[rhs], 0) != 0 {
+					if partition.NewG3Counter(r.Cards[rhs]).Violations(p, r.Cols[rhs], r.Cards[rhs], 0) != 0 {
 						t.Errorf("unsound FD in partial top-k: %v", f.Format(r.Names))
 					}
 				}

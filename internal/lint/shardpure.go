@@ -9,9 +9,9 @@ import (
 
 // ShardPure enforces the phase-1 shard-kernel contract: functions
 // annotated `//fd:shardkernel` in their doc comment (the bodies behind
-// RefineSharded/IntersectSharded/shardScatter/shardGroup and the
-// sampling shard runs) execute concurrently over disjoint ranges, and
-// their determinism-and-retry-safety argument — "writes are
+// the sharded partition.Kernels.Refine/Intersect, shardScatter/
+// shardGroup and the sampling shard runs) execute concurrently over
+// disjoint ranges, and their determinism-and-retry-safety argument — "writes are
 // deterministic positions of deterministic values" — only holds if
 // every write lands in the kernel's own range slice, a local, or a
 // per-worker scratch receiver field.

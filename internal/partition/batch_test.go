@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func randColumn(rng *rand.Rand, rows, card int) []int32 {
@@ -13,56 +15,6 @@ func randColumn(rng *rand.Rand, rows, card int) []int32 {
 		col[i] = int32(rng.Intn(card))
 	}
 	return col
-}
-
-func TestIntersectBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rows = 400
-	var jobs []IntersectJob
-	var want []*Partition
-	for k := 0; k < 20; k++ {
-		a := Single(randColumn(rng, rows, 5), 5)
-		b := Single(randColumn(rng, rows, 7), 7)
-		jobs = append(jobs, IntersectJob{Left: a, Right: b})
-		want = append(want, Intersect(a, NewProbeTable(b)))
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := IntersectBatch(context.Background(), workers, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("workers=%d: job %d differs from serial Intersect", workers, i)
-			}
-		}
-	}
-}
-
-func TestRefineBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const rows = 400
-	var jobs []RefineJob
-	var want []*Partition
-	for k := 0; k < 20; k++ {
-		base := randColumn(rng, rows, 4)
-		c1 := randColumn(rng, rows, 6)
-		c2 := randColumn(rng, rows, 3)
-		p := Single(base, 4)
-		jobs = append(jobs, RefineJob{Part: p, Cols: [][]int32{c1, c2}, Cards: []int{6, 3}})
-		want = append(want, Refine(Refine(p, c1, 6), c2, 3))
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := RefineBatch(context.Background(), workers, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("workers=%d: job %d differs from serial Refine chain", workers, i)
-			}
-		}
-	}
 }
 
 func TestBatchCancellation(t *testing.T) {
@@ -74,15 +26,16 @@ func TestBatchCancellation(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = IntersectJob{Left: p, Right: p}
 	}
-	if _, err := IntersectBatch(ctx, 2, jobs); !errors.Is(err, context.Canceled) {
-		t.Errorf("IntersectBatch err = %v, want context.Canceled", err)
+	k := NewKernels(engine.NewPool(2), 0, nil)
+	if _, err := k.IntersectAll(ctx, jobs); !errors.Is(err, context.Canceled) {
+		t.Errorf("IntersectAll err = %v, want context.Canceled", err)
 	}
 	rjobs := make([]RefineJob, 500)
 	col := randColumn(rng, 100, 3)
 	for i := range rjobs {
 		rjobs[i] = RefineJob{Part: p, Cols: [][]int32{col}, Cards: []int{3}}
 	}
-	if _, err := RefineBatch(ctx, 2, rjobs); !errors.Is(err, context.Canceled) {
-		t.Errorf("RefineBatch err = %v, want context.Canceled", err)
+	if _, err := k.RefineAll(ctx, rjobs); !errors.Is(err, context.Canceled) {
+		t.Errorf("RefineAll err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -27,11 +28,12 @@ func BenchmarkRefine100k(b *testing.B) {
 	a := randomColumn(100_000, 50, 1)
 	c := randomColumn(100_000, 50, 2)
 	p := Single(a, 50)
-	rf := NewRefiner(50)
+	k := NewKernels(nil, 0, nil)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rf.Refine(p, c, 50)
+		_, _ = k.Refine(ctx, p, c, 50)
 	}
 }
 
@@ -40,10 +42,12 @@ func BenchmarkIntersect100k(b *testing.B) {
 	c := randomColumn(100_000, 50, 2)
 	pa, pc := Single(a, 50), Single(c, 50)
 	probe := NewProbeTable(pc)
+	k := NewKernels(nil, 0, nil)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Intersect(pa, probe)
+		_, _ = k.Intersect(ctx, pa, probe)
 	}
 }
 
@@ -53,16 +57,17 @@ func BenchmarkRefineVsIntersect(b *testing.B) {
 	a := randomColumn(50_000, 200, 1)
 	c := randomColumn(50_000, 200, 2)
 	pa, pc := Single(a, 200), Single(c, 200)
+	k := NewKernels(nil, 0, nil)
+	ctx := context.Background()
 	b.Run("refine", func(b *testing.B) {
-		rf := NewRefiner(200)
 		for i := 0; i < b.N; i++ {
-			rf.Refine(pa, c, 200)
+			_, _ = k.Refine(ctx, pa, c, 200)
 		}
 	})
 	b.Run("intersect", func(b *testing.B) {
 		probe := NewProbeTable(pc)
 		for i := 0; i < b.N; i++ {
-			Intersect(pa, probe)
+			_, _ = k.Intersect(ctx, pa, probe)
 		}
 	})
 }
@@ -75,16 +80,16 @@ func TestIntersectorAllocsPerRun(t *testing.T) {
 	a := randomColumn(20_000, 50, 1)
 	c := randomColumn(20_000, 50, 2)
 	pa, pc := Single(a, 50), Single(c, 50)
-	ix := NewIntersector()
+	ix := &intersector{}
 	probe := NewProbeTable(pc)
-	ix.Intersect(pa, probe) // warm scratch
-	if got := testing.AllocsPerRun(10, func() { ix.Intersect(pa, probe) }); got > 4 {
+	ix.intersect(pa, probe) // warm scratch
+	if got := testing.AllocsPerRun(10, func() { ix.intersect(pa, probe) }); got > 4 {
 		t.Errorf("Intersect allocs/run = %.0f, want <= 4", got)
 	}
 }
 
 // TestProbeTableFillReuses: refilling an adequately sized probe table
-// allocates nothing — the per-level reuse IntersectBatch relies on.
+// allocates nothing — the per-level reuse IntersectAll relies on.
 func TestProbeTableFillReuses(t *testing.T) {
 	a := randomColumn(20_000, 50, 1)
 	c := randomColumn(20_000, 50, 2)

@@ -147,7 +147,7 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 	if c == nil {
 		return nil
 	}
-	p := c.lookup(x)
+	p := c.lookup(x.AppendKey(nil))
 	if p == nil {
 		c.misses.Add(1)
 		return nil
@@ -156,24 +156,15 @@ func (c *Cache) Get(x bitset.Set) *Partition {
 	return p
 }
 
-// Peek is Get without the hit/miss accounting, for probe loops — like
-// ranking's prefix-chain walk — that issue several speculative lookups per
-// logical consultation and would otherwise distort the counters. A found
-// entry still has its recency refreshed.
-func (c *Cache) Peek(x bitset.Set) *Partition {
-	if c == nil {
-		return nil
-	}
-	return c.lookup(x)
-}
-
-// lookup is Get without the hit/miss accounting, for probe paths that
-// count the consultation as a whole. A hit on a spilled entry faults the
-// partition back in from its spill file.
-func (c *Cache) lookup(x bitset.Set) *Partition {
+// lookup is Get by encoded key (bitset.Set.AppendKey) without the
+// hit/miss accounting, for probe paths that count the consultation as a
+// whole; callers reusing one key buffer look up without allocating. A
+// hit on a spilled entry faults the partition back in from its spill
+// file.
+func (c *Cache) lookup(key []byte) *Partition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[x.Key()]
+	e, ok := c.entries[string(key)]
 	if !ok {
 		return nil
 	}
@@ -195,37 +186,43 @@ func (c *Cache) lookup(x bitset.Set) *Partition {
 // without scanning the whole cache. It returns (nil, nil) when not even
 // x's first attribute is cached. Finding a usable prefix counts as one
 // hit (the cache saved most of a build), finding none as one miss; the
-// probes themselves use Peek and leave the counters alone.
+// probes themselves leave the counters alone.
 func (c *Cache) LongestPrefix(x bitset.Set) (*Partition, bitset.Set) {
 	if c == nil {
 		return nil, nil
 	}
-	attrs := x.Attrs()
-	if len(attrs) == 0 {
-		c.misses.Add(1)
+	prefix := make(bitset.Set, len(x))
+	p, _, _ := c.longestPrefix(x.Attrs(), prefix, nil)
+	if p == nil {
 		return nil, nil
 	}
-	prefix := x.Clone()
+	return p, prefix
+}
+
+// longestPrefix is LongestPrefix over an explicit ascending attribute
+// list with caller-owned scratch: it leaves prefix holding attrs[:k] for
+// the longest cached chain prefix and returns its partition (nil when
+// k == 0), k, and the grown key buffer. It counts one hit or one miss.
+func (c *Cache) longestPrefix(attrs []int, prefix bitset.Set, key []byte) (*Partition, int, []byte) {
 	prefix.Clear()
 	var best *Partition
 	k := 0
-	for j, a := range attrs {
+	for _, a := range attrs {
 		prefix.Add(a)
-		p := c.Peek(prefix)
+		key = prefix.AppendKey(key[:0])
+		p := c.lookup(key)
 		if p == nil {
+			prefix.Remove(a)
 			break
 		}
-		best, k = p, j+1
+		best, k = p, k+1
 	}
 	if best == nil {
 		c.misses.Add(1)
-		return nil, nil
+	} else {
+		c.hits.Add(1)
 	}
-	if k < len(attrs) {
-		prefix.Remove(attrs[k]) // the walk overshot by one on the miss
-	}
-	c.hits.Add(1)
-	return best, prefix
+	return best, k, key
 }
 
 // Put inserts π_X under the attribute set x, evicting LRU entries as
@@ -369,65 +366,4 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 		c.mru.prev = e
 	}
 	c.mru = e
-}
-
-// ForAttrsCached computes π_X through the cache: an exact hit returns the
-// cached partition; otherwise refinement walks down the ascending-attribute
-// prefix chain from the longest cached prefix (LongestPrefix) — or, with
-// none cached, from the first attribute's single partition — publishing
-// every intermediate prefix so later supersets (and the ranking provider,
-// which walks the same chain) start further along. With a nil cache it is
-// exactly ForAttrs. The returned partition may be shared: treat it as
-// read-only.
-func ForAttrsCached(c *Cache, x bitset.Set, cols [][]int32, cards []int) *Partition {
-	p, _ := ForAttrsCachedStats(c, x, cols, cards)
-	return p
-}
-
-// ForAttrsCachedStats is ForAttrsCached additionally reporting whether the
-// partition was served whole from the cache (an exact hit) rather than
-// built or refined from a parent — the built/reused split ranking reports.
-//
-//fd:hotpath
-func ForAttrsCachedStats(c *Cache, x bitset.Set, cols [][]int32, cards []int) (*Partition, bool) {
-	if c == nil {
-		return ForAttrs(x, cols, cards), false
-	}
-	if p := c.lookup(x); p != nil {
-		c.hits.Add(1)
-		return p, true
-	}
-	nrows := 0
-	if len(cols) > 0 {
-		nrows = len(cols[0])
-	}
-	attrs := x.Attrs()
-	if len(attrs) == 0 {
-		return fullPartition(nrows), false
-	}
-	p, prefix := c.LongestPrefix(x)
-	k := 0
-	if p != nil {
-		k = prefix.Count()
-	} else {
-		prefix = x.Clone()
-		prefix.Clear()
-		a := attrs[0]
-		p = Single(cols[a], cards[a])
-		prefix.Add(a)
-		c.Put(prefix, p)
-		k = 1
-	}
-	if k == len(attrs) {
-		return p, false
-	}
-	rf := NewRefiner(maxCard(cards))
-	for _, a := range attrs[k:] {
-		prefix.Add(a)
-		if len(p.Clusters) > 0 {
-			p = rf.Refine(p, cols[a], cards[a])
-		}
-		c.Put(prefix, p)
-	}
-	return p, false
 }

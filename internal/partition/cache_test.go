@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -211,7 +212,9 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 		}
 		cols[c], cards[c] = col, int(maxv)+1
 	}
+	ctx := context.Background()
 	cache := NewCache(1<<20, nil)
+	k := NewKernels(nil, 0, cache)
 	for trial := 0; trial < 60; trial++ {
 		x := bitset.New(ncols)
 		for a := 0; a < ncols; a++ {
@@ -219,9 +222,9 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 				x.Add(a)
 			}
 		}
-		want := ForAttrs(x, cols, cards)
-		got := ForAttrsCached(cache, x, cols, cards)
-		if !got.Equal(want) {
+		want := forAttrs(x, cols, cards)
+		got, _, err := k.ForAttrs(ctx, x, cols, cards)
+		if err != nil || !got.Equal(want) {
 			t.Fatalf("trial %d: cached π_%v differs from ForAttrs", trial, x.Attrs())
 		}
 	}
@@ -230,13 +233,13 @@ func TestForAttrsCachedMatchesForAttrs(t *testing.T) {
 		t.Error("repeated random sets should produce exact-key hits")
 	}
 	// Under a tiny bound the cache thrashes but results stay correct.
-	tiny := NewCache(64, nil)
+	tiny := NewKernels(nil, 0, NewCache(64, nil))
 	for trial := 0; trial < 30; trial++ {
 		x := bitset.New(ncols)
 		x.Add(rng.Intn(ncols))
 		x.Add(rng.Intn(ncols))
-		want := ForAttrs(x, cols, cards)
-		if got := ForAttrsCached(tiny, x, cols, cards); !got.Equal(want) {
+		want := forAttrs(x, cols, cards)
+		if got, _, err := tiny.ForAttrs(ctx, x, cols, cards); err != nil || !got.Equal(want) {
 			t.Fatalf("tiny cache trial %d: π_%v differs", trial, x.Attrs())
 		}
 	}

@@ -11,19 +11,22 @@
 // algorithms need:
 //
 //   - Single: build π_A for one attribute from dictionary codes,
-//   - Refine / RefineCluster: dynamic refinement π_X ⇒ π_XA one cluster at
-//     a time (Algorithm 5), used by the DDM and by FD validation,
-//   - Intersect: classic PLI intersection π_X ∩ π_Y ⇒ π_XY via probe
-//     tables, used by TANE's level-wise prefix-block joins.
+//   - refinement π_X ⇒ π_XA one cluster at a time (Algorithm 5), used by
+//     the DDM and by FD validation (Refiner.RefineClusterInto),
+//   - intersection π_X ∩ π_Y ⇒ π_XY via probe tables, used by TANE's
+//     level-wise prefix-block joins.
 //
-// Partitions produced by Single, Refine and Intersect are in compact form:
-// all cluster rows live in one backing array and Clusters are zero-copy
-// views into it, so a partition costs three allocations regardless of its
-// cluster count. Intersector carries the flat probe scratch of the
-// intersection kernel across calls, the same sets-array-plus-touched-list
-// trick Refiner uses, so TANE levels intersect without a map allocation
-// per call. Cache (cache.go) keeps refined partitions alive across
-// candidate evaluations under an LRU byte bound.
+// Kernels (kernels.go) is the one surface the drivers call them through:
+// it owns per-worker scratch and a worker pool, runs a kernel serially or
+// sharded across the pool, fans batches of jobs out over the pool, and
+// walks the PLI Cache (cache.go) to materialize π_X for an attribute set.
+//
+// Every partition the kernels produce is in compact form: all cluster
+// rows live in one backing array and Clusters are zero-copy views into
+// it, so a partition costs a handful of allocations regardless of its
+// cluster count. The refinement and intersection kernels keep flat
+// sets-array-plus-touched-list scratch across calls, so a warm kernel
+// allocates only its output.
 package partition
 
 import (
@@ -146,16 +149,17 @@ func Single(col []int32, card int) *Partition {
 	return p
 }
 
-// FromRelationColumn builds π_A for column a of the given encoded column
-// and cardinality. It is a convenience wrapper around Single.
-func FromRelationColumn(col []int32, card int) *Partition { return Single(col, card) }
-
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
 // paper). It keeps the sets-array and touched-id list between calls so that
 // refining many clusters allocates nothing after warm-up.
 type Refiner struct {
 	buckets [][]int32 // indexed by dictionary code
 	touched []int32   // codes used by the current cluster
+	offsets []int32   // scratch for refine's output offsets, copied out exact-size
+	// The pad keeps two workers' Refiners, allocated side by side, off
+	// one cache line: the headers above are rewritten per cluster, and
+	// that false sharing cost about a third of two-worker DDM refreshes.
+	_ [64]byte
 }
 
 // NewRefiner returns a refiner able to handle columns with cardinality up
@@ -172,33 +176,12 @@ func (rf *Refiner) grow(card int) {
 	}
 }
 
-// RefineCluster splits one cluster by the codes of column col, appending the
-// resulting sub-clusters of size >= 2 to dst and returning it.
-func (rf *Refiner) RefineCluster(cluster []int32, col []int32, card int, dst [][]int32) [][]int32 {
-	rf.grow(card)
-	for _, row := range cluster {
-		v := col[row]
-		if len(rf.buckets[v]) == 0 {
-			rf.touched = append(rf.touched, v)
-		}
-		rf.buckets[v] = append(rf.buckets[v], row)
-	}
-	for _, v := range rf.touched {
-		if len(rf.buckets[v]) >= 2 {
-			dst = append(dst, append([]int32(nil), rf.buckets[v]...))
-		}
-		rf.buckets[v] = rf.buckets[v][:0]
-	}
-	rf.touched = rf.touched[:0]
-	return dst
-}
-
-// RefineClusterInto is RefineCluster with caller-owned backing storage:
-// surviving sub-cluster rows are appended to arena and dst receives views
-// into it, so a warm caller pays zero allocations per cluster. If arena
-// grows mid-call, views appended earlier keep pointing into the previous
-// backing — their contents are complete and never mutated, so they stay
-// valid. Returns the (possibly grown) arena and dst.
+// RefineClusterInto splits one cluster by the codes of column col:
+// surviving sub-cluster rows (size >= 2) are appended to arena and dst
+// receives views into it, so a warm caller pays zero allocations per
+// cluster. If arena grows mid-call, views appended earlier keep pointing
+// into the previous backing — their contents are complete and never
+// mutated, so they stay valid. Returns the (possibly grown) arena and dst.
 //
 //fd:hotpath
 func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, arena []int32, dst [][]int32) ([]int32, [][]int32) {
@@ -222,25 +205,28 @@ func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, are
 	return arena, dst
 }
 
-// Refine computes π_XA from π_X by splitting every cluster on column col.
+// refine computes π_XA from π_X by splitting every cluster on column col.
 // The result is in compact form: sub-clusters are laid into one backing
-// array instead of being copied out one allocation each.
+// array instead of being copied out one allocation each. It is the
+// serial kernel behind Kernels.Refine and Kernels.RefineAll.
 //
 //fd:hotpath
-func (rf *Refiner) Refine(p *Partition, col []int32, card int) *Partition {
+func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
 	rf.grow(card)
 	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
-	offsets := make([]int32, 1, len(p.Clusters)*2+1)
-	backing, offsets = rf.refineRange(p.Clusters, col, backing, offsets)
-	out.setCompact(backing, offsets)
+	rf.offsets = append(rf.offsets[:0], 0)
+	backing, rf.offsets = rf.refineRange(p.Clusters, col, backing, rf.offsets)
+	// Like intersect, the partition keeps an exact-size copy of the
+	// offsets scratch, so a warm refine allocates only its output.
+	out.setCompact(backing, append([]int32(nil), rf.offsets...))
 	return out
 }
 
-// refineRange is Refine's cluster-range kernel: it splits each cluster
+// refineRange is refine's cluster-range kernel: it splits each cluster
 // by the codes of col, appending surviving sub-cluster rows to backing
 // and each sub-cluster's end position to ends, and returns the grown
-// slices. Serial Refine runs it over all clusters with a leading 0
+// slices. Serial refine runs it over all clusters with a leading 0
 // already in ends; the sharded kernel runs it per contiguous cluster
 // range with empty local slices, so concatenating the per-range outputs
 // in range order reproduces the serial layout bit for bit. The caller
@@ -267,11 +253,6 @@ func (rf *Refiner) refineRange(clusters [][]int32, col []int32, backing, ends []
 		rf.touched = rf.touched[:0]
 	}
 	return backing, ends
-}
-
-// Refine is a convenience one-shot wrapper that allocates its own Refiner.
-func Refine(p *Partition, col []int32, card int) *Partition {
-	return NewRefiner(card).Refine(p, col, card)
 }
 
 // ProbeTable is an inverted index of a partition: row → cluster id, with -1
@@ -306,22 +287,20 @@ func (t ProbeTable) Fill(p *Partition) ProbeTable {
 	return t
 }
 
-// Intersector computes PLI intersections with flat reusable scratch: a
+// intersector computes PLI intersections with flat reusable scratch: a
 // counts array indexed by probe-side cluster id plus a touched-id list
 // (the trick Refiner uses for dictionary codes), so one intersection costs
-// three output allocations and no map. One Intersector serves one
-// goroutine; TANE keeps one per worker for a whole level.
-type Intersector struct {
-	counts  []int32 // per probe-side cluster id: rows of the current cluster
-	starts  []int32 // per probe-side cluster id: write cursor, -1 = stripped
-	touched []int32 // ids used by the current cluster
-	offsets []int32 // scratch for the output offsets, copied out exact-size
+// its output allocations and no map. One intersector serves one
+// goroutine; Kernels keeps one per pool worker.
+type intersector struct {
+	counts  []int32  // per probe-side cluster id: rows of the current cluster
+	starts  []int32  // per probe-side cluster id: write cursor, -1 = stripped
+	touched []int32  // ids used by the current cluster
+	offsets []int32  // scratch for the output offsets, copied out exact-size
+	_       [64]byte // keeps workers' intersectors off one cache line, as in Refiner
 }
 
-// NewIntersector returns an empty intersector; scratch grows on demand.
-func NewIntersector() *Intersector { return &Intersector{} }
-
-func (ix *Intersector) growID(id int32) {
+func (ix *intersector) growID(id int32) {
 	if int(id) < len(ix.counts) {
 		return
 	}
@@ -337,26 +316,14 @@ func (ix *Intersector) growID(id int32) {
 	ix.starts = starts
 }
 
-// Intersect computes π_XY from π_X and a probe table of π_Y: rows of each
+// intersect computes π_XY from π_X and a probe table of π_Y: rows of each
 // X-cluster are grouped by their Y-cluster id, dropping rows singleton in
 // Y (probe -1) and groups of fewer than two rows. The result is in compact
-// form. Each cluster is processed in two passes — count per Y-id, then
-// place rows at the precomputed group offsets — touching only the ids the
-// cluster actually uses.
+// form. It is the serial kernel behind Kernels.Intersect and
+// Kernels.IntersectAll, which fire the partition.intersect fault site.
 //
 //fd:hotpath
-func (ix *Intersector) Intersect(p *Partition, probe ProbeTable) *Partition {
-	faults.Check(faults.PartitionIntersect)
-	return ix.intersect(p, probe)
-}
-
-// intersect is Intersect without the fault-site hit, so the sharded
-// kernel (which fires partition.intersect once per product itself) can
-// delegate its degenerate single-shard path here without doubling the
-// site's hit count.
-//
-//fd:hotpath
-func (ix *Intersector) intersect(p *Partition, probe ProbeTable) *Partition {
+func (ix *intersector) intersect(p *Partition, probe ProbeTable) *Partition {
 	out := &Partition{NRows: p.NRows}
 	backing := make([]int32, 0, p.Size())
 	ix.offsets = append(ix.offsets[:0], 0)
@@ -367,7 +334,7 @@ func (ix *Intersector) intersect(p *Partition, probe ProbeTable) *Partition {
 	return out
 }
 
-// intersectRange is Intersect's cluster-range kernel: rows of each
+// intersectRange is intersect's cluster-range kernel: rows of each
 // cluster are grouped by their probe-side cluster id in two passes —
 // count per id, then place rows at the reserved group offsets —
 // appending surviving groups to backing and each group's end position
@@ -380,7 +347,7 @@ func (ix *Intersector) intersect(p *Partition, probe ProbeTable) *Partition {
 //
 //fd:hotpath
 //fd:shardkernel
-func (ix *Intersector) intersectRange(clusters [][]int32, probe ProbeTable, backing, ends []int32) ([]int32, []int32) {
+func (ix *intersector) intersectRange(clusters [][]int32, probe ProbeTable, backing, ends []int32) ([]int32, []int32) {
 	for _, cluster := range clusters {
 		for _, row := range cluster {
 			id := probe[row]
@@ -422,12 +389,6 @@ func (ix *Intersector) intersectRange(clusters [][]int32, probe ProbeTable, back
 		ix.touched = ix.touched[:0]
 	}
 	return backing, ends
-}
-
-// Intersect is the one-shot form of Intersector.Intersect; batch callers
-// keep an Intersector per worker instead.
-func Intersect(p *Partition, probe ProbeTable) *Partition {
-	return NewIntersector().Intersect(p, probe)
 }
 
 // Members marks every row lying inside a cluster of p into dst, a row
@@ -478,32 +439,6 @@ func orderForRefine(attrs []int, cards []int, nrows int) {
 	})
 }
 
-// ForAttrs computes π_X for an attribute set by refining the
-// smallest-error single-attribute partition (e(π_A) = nrows − card(A))
-// with the remaining attributes. cols and cards describe the full
-// relation. Returns the full-relation partition (one cluster of all rows)
-// when X is empty.
-func ForAttrs(x bitset.Set, cols [][]int32, cards []int) *Partition {
-	nrows := 0
-	if len(cols) > 0 {
-		nrows = len(cols[0])
-	}
-	attrs := x.Attrs()
-	if len(attrs) == 0 {
-		return fullPartition(nrows)
-	}
-	orderForRefine(attrs, cards, nrows)
-	p := Single(cols[attrs[0]], cards[attrs[0]])
-	rf := NewRefiner(maxCard(cards))
-	for _, a := range attrs[1:] {
-		if len(p.Clusters) == 0 {
-			break
-		}
-		p = rf.Refine(p, cols[a], cards[a])
-	}
-	return p
-}
-
 // fullPartition returns π_∅: one cluster of all rows (empty under 2 rows).
 func fullPartition(nrows int) *Partition {
 	if nrows < 2 {
@@ -516,16 +451,6 @@ func fullPartition(nrows int) *Partition {
 	p := &Partition{NRows: nrows}
 	p.setCompact(all, []int32{0, int32(nrows)})
 	return p
-}
-
-func maxCard(cards []int) int {
-	m := 1
-	for _, c := range cards {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // SortClusters orders clusters by ascending first row, and rows within each

@@ -44,7 +44,7 @@ func TestRefineSplitsClusters(t *testing.T) {
 	a := []int32{0, 0, 0, 0, 0, 0}
 	b := []int32{0, 1, 0, 1, 2, 2}
 	pa := Single(a, 1)
-	pab := Refine(pa, b, 3)
+	pab := refineRef(pa, b, 3)
 	pab.SortClusters()
 	want := [][]int32{{0, 2}, {1, 3}, {4, 5}}
 	if !reflect.DeepEqual(pab.Clusters, want) {
@@ -55,7 +55,7 @@ func TestRefineSplitsClusters(t *testing.T) {
 func TestRefineDropsNewSingletons(t *testing.T) {
 	a := []int32{0, 0, 0}
 	b := []int32{0, 0, 1}
-	pab := Refine(Single(a, 1), b, 2)
+	pab := refineRef(Single(a, 1), b, 2)
 	pab.SortClusters()
 	if !reflect.DeepEqual(pab.Clusters, [][]int32{{0, 1}}) {
 		t.Errorf("refined = %v", pab.Clusters)
@@ -65,9 +65,10 @@ func TestRefineDropsNewSingletons(t *testing.T) {
 func TestRefinerReuseAcrossCalls(t *testing.T) {
 	rf := NewRefiner(2)
 	// Grow beyond initial capacity on second call.
+	var arena []int32
 	var dst [][]int32
-	dst = rf.RefineCluster([]int32{0, 1, 2}, []int32{0, 0, 1}, 2, dst)
-	dst = rf.RefineCluster([]int32{0, 1, 2}, []int32{5, 5, 1}, 6, dst)
+	arena, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{0, 0, 1}, 2, arena, dst)
+	_, dst = rf.RefineClusterInto([]int32{0, 1, 2}, []int32{5, 5, 1}, 6, arena, dst)
 	if len(dst) != 2 {
 		t.Fatalf("dst = %v", dst)
 	}
@@ -88,8 +89,8 @@ func TestIntersectMatchesRefine(t *testing.T) {
 			b[i] = int32(rng.Intn(cb))
 		}
 		pa, pb := Single(a, ca), Single(b, cb)
-		viaIntersect := Intersect(pa, NewProbeTable(pb))
-		viaRefine := Refine(pa, b, cb)
+		viaIntersect := intersectRef(pa, NewProbeTable(pb))
+		viaRefine := refineRef(pa, b, cb)
 		if !viaIntersect.Equal(viaRefine) {
 			t.Fatalf("trial %d: intersect %v != refine %v", trial, viaIntersect.Clusters, viaRefine.Clusters)
 		}
@@ -98,12 +99,12 @@ func TestIntersectMatchesRefine(t *testing.T) {
 
 func TestForAttrsEmptySet(t *testing.T) {
 	cols := [][]int32{{0, 1, 0}}
-	p := ForAttrs(bitset.New(1), cols, []int{2})
+	p := forAttrs(bitset.New(1), cols, []int{2})
 	if p.Card() != 1 || p.Size() != 3 {
 		t.Errorf("π_∅: card=%d size=%d", p.Card(), p.Size())
 	}
 	// A 1-row relation has no pair, so π_∅ is empty.
-	p1 := ForAttrs(bitset.New(1), [][]int32{{0}}, []int{1})
+	p1 := forAttrs(bitset.New(1), [][]int32{{0}}, []int{1})
 	if p1.Card() != 0 {
 		t.Errorf("π_∅ on single row: %v", p1.Clusters)
 	}
@@ -112,7 +113,7 @@ func TestForAttrsEmptySet(t *testing.T) {
 func TestForAttrsMultiAttr(t *testing.T) {
 	// Rows: (0,0) (0,1) (0,0) (1,0) -> π_{a,b} = {{0,2}}.
 	cols := [][]int32{{0, 0, 0, 1}, {0, 1, 0, 0}}
-	p := ForAttrs(bitset.FromAttrs(2, 0, 1), cols, []int{2, 2})
+	p := forAttrs(bitset.FromAttrs(2, 0, 1), cols, []int{2, 2})
 	p.SortClusters()
 	if !reflect.DeepEqual(p.Clusters, [][]int32{{0, 2}}) {
 		t.Errorf("π_ab = %v", p.Clusters)
@@ -158,7 +159,7 @@ func TestQuickErrorMonotone(t *testing.T) {
 			b[i] = int32(rawB[i] % 4)
 		}
 		pa := Single(a, 4)
-		pab := Refine(pa, b, 4)
+		pab := refineRef(pa, b, 4)
 		return pab.Error() <= pa.Error() && pab.Size() <= pa.Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -186,8 +187,8 @@ func TestQuickRefineOrderIrrelevant(t *testing.T) {
 				cols[c][i] = int32(raw[i] % 3)
 			}
 		}
-		p1 := Refine(Refine(Single(cols[0], 3), cols[1], 3), cols[2], 3)
-		p2 := Refine(Refine(Single(cols[2], 3), cols[0], 3), cols[1], 3)
+		p1 := refineRef(refineRef(Single(cols[0], 3), cols[1], 3), cols[2], 3)
+		p2 := refineRef(refineRef(Single(cols[2], 3), cols[0], 3), cols[1], 3)
 		return p1.Equal(p2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/faults"
 )
@@ -14,86 +13,6 @@ import (
 // (group lists, pool items) amortize away, small enough that a shard's
 // counting-sort scratch stays cache-resident.
 const DefaultShardSize = 1 << 16
-
-// BuildSingles builds π_A for every attribute in attrs, sharding each
-// column row-wise into shardSize-row blocks that group concurrently on
-// the pool (shardSize <= 0 selects DefaultShardSize). The results are
-// byte-identical to Single's — same compact backing, same cluster order —
-// because the merge reproduces Single's layout law exactly: clusters in
-// ascending code order, rows ascending within each cluster. Results are
-// returned in attrs order; on cancellation (or an injected fault) the
-// partial results carry nil for unbuilt attributes alongside the error.
-//
-// Each built attribute costs one partition.build fault-site hit, exactly
-// like a Single call, and each shard scatter one partition.shardmerge
-// hit; the pool's per-item supervision (engine.worker site, retry
-// policy) wraps every shard item.
-func BuildSingles(ctx context.Context, pool *engine.Pool, attrs []int, cols [][]int32, cards []int, shardSize int) ([]*Partition, error) {
-	out := make([]*Partition, len(attrs))
-	if len(attrs) == 0 {
-		return out, nil
-	}
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
-	nrows := len(cols[attrs[0]])
-	if nrows <= shardSize {
-		// One shard: the merge machinery degenerates to Single itself, so
-		// parallelism comes from fanning out over the attributes instead.
-		err := pool.Run(ctx, len(attrs), func(_, i int) {
-			out[i] = Single(cols[attrs[i]], cards[attrs[i]])
-		})
-		return out, err
-	}
-	// Attributes run sequentially so scratch stays bounded by one column;
-	// within an attribute the shards group and scatter concurrently.
-	sb := newShardBuilder(pool.Workers(), nrows, shardSize)
-	for i, a := range attrs {
-		p, err := sb.build(ctx, pool, cols[a], cards[a])
-		if err != nil {
-			return out, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// Singles computes the single-attribute partitions of every column
-// through the cache: hits are charged to the budget as cache-resident
-// bytes, misses build through BuildSingles (sharded, on the pool), are
-// charged as materialized partitions and published to the cache. It is
-// the shared PLI bootstrap of the partition-based drivers. Returns the
-// partitions in column order plus the number built (the driver's
-// PartitionsBuilt delta). On cancellation the partial results carry nil
-// for unbuilt columns alongside the error.
-func Singles(ctx context.Context, pool *engine.Pool, cols [][]int32, cards []int, shardSize int, cache *Cache, budget *Budget) ([]*Partition, int, error) {
-	n := len(cols)
-	parts := make([]*Partition, n)
-	keys := make([]bitset.Set, n)
-	missing := make([]int, 0, n)
-	for c := 0; c < n; c++ {
-		keys[c] = bitset.FromAttrs(n, c)
-		if p := cache.Get(keys[c]); p != nil {
-			parts[c] = p
-			budget.ChargeBytes(Cost(p))
-			continue
-		}
-		missing = append(missing, c)
-	}
-	built, err := BuildSingles(ctx, pool, missing, cols, cards, shardSize)
-	nbuilt := 0
-	for j, c := range missing {
-		p := built[j]
-		if p == nil {
-			continue
-		}
-		parts[c] = p
-		budget.Charge(p)
-		cache.Put(keys[c], p)
-		nbuilt++
-	}
-	return parts, nbuilt, err
-}
 
 // shardBuilder holds the scratch of one sharded single-attribute build:
 // per-worker counting-sort state for the group phase and per-shard group

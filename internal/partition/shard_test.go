@@ -13,22 +13,20 @@ import (
 // TestBuildSinglesByteIdentical pins the sharded builder's contract: for
 // every benchmark relation and shard sizes spanning degenerate (1 row per
 // shard), prime-unaligned (7), typical (64) and whole-relation (nrows),
-// the compact form — backing array and offsets — matches Single byte for
-// byte, under both a serial and a parallel pool.
+// the compact form Kernels.Singles builds — backing array and offsets —
+// matches Single byte for byte, under both a serial and a parallel pool.
 func TestBuildSinglesByteIdentical(t *testing.T) {
 	for _, b := range dataset.All() {
 		r := b.Generate(233, 0)
 		nrows := r.NumRows()
 		want := make([]*Partition, r.NumCols())
-		attrs := make([]int, r.NumCols())
 		for c := range want {
 			want[c] = Single(r.Cols[c], r.Cards[c])
-			attrs[c] = c
 		}
 		for _, shardSize := range []int{1, 7, 64, nrows} {
 			for _, workers := range []int{1, 3} {
 				pool := engine.NewPool(workers)
-				got, err := BuildSingles(context.Background(), pool, attrs, r.Cols, r.Cards, shardSize)
+				got, _, err := NewKernels(pool, shardSize, nil).Singles(context.Background(), r.Cols, r.Cards, nil)
 				if err != nil {
 					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
 				}
@@ -68,15 +66,15 @@ func assertSameCompact(t *testing.T, name string, shardSize, col int, want, got 
 }
 
 func TestBuildSinglesEdgeCases(t *testing.T) {
-	pool := engine.NewPool(2)
 	ctx := context.Background()
+	k := NewKernels(engine.NewPool(2), 4, nil)
 
 	// Empty attribute list.
-	if out, err := BuildSingles(ctx, pool, nil, nil, nil, 4); err != nil || len(out) != 0 {
+	if out, _, err := k.Singles(ctx, nil, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty attrs: %v, %v", out, err)
 	}
 	// Empty column: same empty compact partition as Single.
-	out, err := BuildSingles(ctx, pool, []int{0}, [][]int32{{}}, []int{0}, 4)
+	out, _, err := k.Singles(ctx, [][]int32{{}}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestBuildSinglesEdgeCases(t *testing.T) {
 	// column, all-singleton column.
 	cols := [][]int32{{0, 0, 0, 0, 0}, {0, 1, 2, 3, 4}}
 	cards := []int{1, 5}
-	out, err = BuildSingles(ctx, pool, []int{0, 1}, cols, cards, 2)
+	out, _, err = NewKernels(engine.NewPool(2), 2, nil).Singles(ctx, cols, cards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +95,7 @@ func TestBuildSinglesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	col := make([]int32, 100)
-	_, err := BuildSingles(ctx, engine.NewPool(2), []int{0}, [][]int32{col}, []int{1}, 8)
+	_, _, err := NewKernels(engine.NewPool(2), 8, nil).Singles(ctx, [][]int32{col}, []int{1}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,9 +111,10 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 
 	// Nth-hit error plans double as hit counters: a plan at N fires only
 	// if the site is hit at least N times. faults.Check panics with the
-	// injection; BuildSingles fires partition.build outside the pool
-	// items (like Single does), so the driver-level recovery owns it —
-	// absorb it here.
+	// injection; the sharded builder fires partition.build outside the
+	// pool items (like Single does), so the discovery run's recovery owns
+	// it — absorb it here. A one-worker Kernels would build serially and
+	// never shard, so these runs use two workers.
 	defer faults.Reset()
 	faults.Arm(faults.PartitionBuild, faults.Plan{Kind: faults.KindError, N: 2})
 	func() {
@@ -124,7 +123,7 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 				t.Fatalf("recovered %v, want a partition.build injection", rec)
 			}
 		}()
-		_, _ = BuildSingles(context.Background(), engine.NewPool(1), []int{0, 1}, cols, cards, 3)
+		_, _, _ = NewKernels(engine.NewPool(2), 3, nil).Singles(context.Background(), cols, cards, nil)
 	}()
 	if faults.Armed(faults.PartitionBuild) {
 		t.Fatal("partition.build hit fewer than 2 times for 2 attributes")
@@ -133,7 +132,7 @@ func TestBuildSinglesFaultParity(t *testing.T) {
 	faults.Reset()
 	faults.Arm(faults.PartitionShardMerge, faults.Plan{Kind: faults.KindError, N: 4, Class: faults.ClassTransient})
 	// 10 rows, shard size 3 -> 4 shards -> 4 scatter hits for one attribute.
-	_, err := BuildSingles(context.Background(), engine.NewPool(1), []int{0}, cols, cards, 3)
+	_, _, err := NewKernels(engine.NewPool(2), 3, nil).Singles(context.Background(), cols[:1], cards[:1], nil)
 	if faults.Armed(faults.PartitionShardMerge) {
 		t.Fatalf("partition.shardmerge hit fewer than 4 times for 4 shards (err %v)", err)
 	}
@@ -152,7 +151,7 @@ func TestSinglesCacheAndBudget(t *testing.T) {
 
 	budget := NewBudget(1<<20, -1)
 	cache := NewCache(1<<20, budget)
-	parts, built, err := Singles(ctx, pool, cols, cards, 2, cache, budget)
+	parts, built, err := NewKernels(pool, 2, cache).Singles(ctx, cols, cards, budget)
 	if err != nil || built != 2 {
 		t.Fatalf("cold Singles: built=%d err=%v", built, err)
 	}
@@ -165,7 +164,7 @@ func TestSinglesCacheAndBudget(t *testing.T) {
 
 	// Warm pass: everything served from cache, bytes re-charged.
 	live0 := budget.LiveBytes()
-	parts2, built2, err := Singles(ctx, pool, cols, cards, 2, cache, budget)
+	parts2, built2, err := NewKernels(pool, 2, cache).Singles(ctx, cols, cards, budget)
 	if err != nil || built2 != 0 {
 		t.Fatalf("warm Singles: built=%d err=%v", built2, err)
 	}
@@ -179,7 +178,7 @@ func TestSinglesCacheAndBudget(t *testing.T) {
 	}
 
 	// Nil cache and budget are valid everywhere.
-	parts3, built3, err := Singles(ctx, pool, cols, cards, 0, nil, nil)
+	parts3, built3, err := NewKernels(pool, 0, nil).Singles(ctx, cols, cards, nil)
 	if err != nil || built3 != 2 || parts3[0] == nil {
 		t.Fatalf("nil cache Singles: built=%d err=%v", built3, err)
 	}

@@ -3,115 +3,13 @@ package partition
 import (
 	"context"
 	"errors"
-	"testing"
-
 	"math/rand"
-	"repro/internal/bitset"
+	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/faults"
 )
-
-// TestRefineShardedByteIdentical pins the sharded multi-attribute
-// contract: for every benchmark relation and shard sizes spanning
-// degenerate (1 row per shard), prime-unaligned (7), typical (64),
-// production (64k) and whole-relation (nrows), RefineSharded's compact
-// form — backing array and offsets — matches the serial Refiner byte
-// for byte, under both a serial and a parallel pool.
-func TestRefineShardedByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, b := range dataset.All() {
-		r := b.Generate(419, 0)
-		nrows := r.NumRows()
-		if r.NumCols() < 2 {
-			continue
-		}
-		parent := Single(r.Cols[0], r.Cards[0])
-		want := NewRefiner(r.Cards[1]).Refine(parent, r.Cols[1], r.Cards[1])
-		for _, shardSize := range []int{1, 7, 64, 1 << 16, nrows} {
-			for _, workers := range []int{1, 3} {
-				pool := engine.NewPool(workers)
-				got, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], shardSize)
-				if err != nil {
-					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
-				}
-				assertSameCompact(t, b.Name, shardSize, 1, want, got)
-			}
-		}
-	}
-}
-
-// TestIntersectShardedByteIdentical is the same matrix for the sharded
-// PLI intersection, probing π_A against π_B for the first two columns.
-func TestIntersectShardedByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, b := range dataset.All() {
-		r := b.Generate(419, 0)
-		nrows := r.NumRows()
-		if r.NumCols() < 2 {
-			continue
-		}
-		pa := Single(r.Cols[0], r.Cards[0])
-		probe := NewProbeTable(Single(r.Cols[1], r.Cards[1]))
-		want := NewIntersector().Intersect(pa, probe)
-		for _, shardSize := range []int{1, 7, 64, 1 << 16, nrows} {
-			for _, workers := range []int{1, 3} {
-				pool := engine.NewPool(workers)
-				got, err := IntersectSharded(ctx, pool, pa, probe, shardSize)
-				if err != nil {
-					t.Fatalf("%s shard=%d workers=%d: %v", b.Name, shardSize, workers, err)
-				}
-				assertSameCompact(t, b.Name, shardSize, 1, want, got)
-			}
-		}
-	}
-}
-
-// TestForAttrsShardedMatches checks the full sharded materialization
-// chain (sharded single + sharded refinement walk) against the serial
-// ForAttrs on multi-attribute sets, and the cached variant against
-// ForAttrsCachedStats with interchangeable cache contents.
-func TestForAttrsShardedMatches(t *testing.T) {
-	ctx := context.Background()
-	r := dataset.Random(rand.New(rand.NewSource(7)), 500, 6, 8)
-	pool := engine.NewPool(3)
-	sets := []bitset.Set{
-		bitset.FromAttrs(6, 0, 1),
-		bitset.FromAttrs(6, 1, 2, 3),
-		bitset.FromAttrs(6, 0, 2, 4, 5),
-	}
-	for _, x := range sets {
-		want := ForAttrs(x, r.Cols, r.Cards)
-		got, err := ForAttrsSharded(ctx, pool, x, r.Cols, r.Cards, 16)
-		if err != nil {
-			t.Fatalf("ForAttrsSharded(%v): %v", x.Attrs(), err)
-		}
-		assertSameCompact(t, "random", 16, 0, want, got)
-	}
-
-	serialCache := NewCache(1<<20, nil)
-	shardCache := NewCache(1<<20, nil)
-	for _, x := range sets {
-		want, whit := ForAttrsCachedStats(serialCache, x, r.Cols, r.Cards)
-		got, ghit, err := ForAttrsCachedSharded(ctx, pool, shardCache, x, r.Cols, r.Cards, 16)
-		if err != nil {
-			t.Fatalf("ForAttrsCachedSharded(%v): %v", x.Attrs(), err)
-		}
-		if whit != ghit {
-			t.Fatalf("hit mismatch for %v: serial=%v sharded=%v", x.Attrs(), whit, ghit)
-		}
-		if !want.Equal(got.Clone()) {
-			t.Fatalf("partition mismatch for %v", x.Attrs())
-		}
-	}
-	// A second pass over the same sets must be exact hits on both caches.
-	for _, x := range sets {
-		if _, hit, err := ForAttrsCachedSharded(ctx, pool, shardCache, x, r.Cols, r.Cards, 16); err != nil || !hit {
-			t.Fatalf("second pass %v: hit=%v err=%v", x.Attrs(), hit, err)
-		}
-	}
-}
 
 // TestRefineShardedFault pins the partition.refineshard site: an armed
 // plan firing in the stitch phase surfaces as a typed, injection-marked
@@ -123,7 +21,7 @@ func TestRefineShardedFault(t *testing.T) {
 	pool := engine.NewPool(2)
 
 	defer faults.Arm(faults.PartitionRefineShard, faults.Plan{Kind: faults.KindPanic, N: 2})()
-	_, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 8)
+	_, err := NewKernels(pool, 8, nil).Refine(ctx, parent, r.Cols[1], r.Cards[1])
 	if err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -135,9 +33,12 @@ func TestRefineShardedFault(t *testing.T) {
 		t.Fatal("plan did not fire")
 	}
 
-	// The serial kernel never touches the site: an armed plan stays armed.
+	// The serial kernel (a one-worker Kernels) never touches the site:
+	// an armed plan stays armed.
 	defer faults.Arm(faults.PartitionRefineShard, faults.Plan{Kind: faults.KindPanic})()
-	NewRefiner(r.Cards[1]).Refine(parent, r.Cols[1], r.Cards[1])
+	if _, err := NewKernels(nil, 8, nil).Refine(ctx, parent, r.Cols[1], r.Cards[1]); err != nil {
+		t.Fatal(err)
+	}
 	if !faults.Armed(faults.PartitionRefineShard) {
 		t.Fatal("serial Refine hit the shard site")
 	}
@@ -152,7 +53,7 @@ func TestShardStatsCount(t *testing.T) {
 	r := dataset.Random(rand.New(rand.NewSource(13)), 400, 3, 2)
 	parent := Single(r.Cols[0], r.Cards[0])
 	pool := engine.NewPool(2)
-	got, err := RefineSharded(ctx, pool, parent, r.Cols[1], r.Cards[1], 16)
+	got, err := NewKernels(pool, 16, nil).Refine(ctx, parent, r.Cols[1], r.Cards[1])
 	if err != nil {
 		t.Fatal(err)
 	}

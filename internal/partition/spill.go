@@ -248,17 +248,37 @@ func (c *Cache) readSpill(path string) (*Partition, []byte, error) {
 	}
 	fail := func(msg string) (*Partition, []byte, error) {
 		spillfile.Unmap(m)
-		return nil, nil, fmt.Errorf("partition: spill file %s: %s", path, msg)
+		return nil, nil, fmt.Errorf("partition: spill file %s: %s: %w", path, msg, spillfile.ErrCorrupt)
 	}
 	if !spillfile.HasMagic(buf) {
 		return fail("bad header")
 	}
+	// The header fields decode from uint64 to int, so bound them against
+	// the payload before any slicing: a hostile header must not reach a
+	// negative or out-of-range slice bound.
 	nrows, noffs, nback := spillfile.DecodeHeader(buf)
-	if len(buf) != spillHeaderBytes+4*(noffs+nback) || noffs < 1 {
+	payload := (len(buf) - spillHeaderBytes) / 4
+	if len(buf) != spillHeaderBytes+4*payload || noffs < 1 || noffs > payload || nback != payload-noffs {
 		return fail("truncated")
+	}
+	if nrows != c.nrows {
+		return fail("row count differs from the cache's relation")
 	}
 	offsets := spillfile.BytesInt32(buf[spillHeaderBytes : spillHeaderBytes+4*noffs])
 	backing := spillfile.BytesInt32(buf[spillHeaderBytes+4*noffs:])
+	if offsets[0] != 0 || int(offsets[noffs-1]) != nback {
+		return fail("offsets do not span the backing")
+	}
+	for i := 1; i < noffs; i++ {
+		if offsets[i] < offsets[i-1] {
+			return fail("offsets decrease")
+		}
+	}
+	for _, row := range backing {
+		if row < 0 || int(row) >= nrows {
+			return fail("row out of range")
+		}
+	}
 	p := &Partition{NRows: nrows}
 	p.setCompact(backing, offsets)
 	return p, m, nil

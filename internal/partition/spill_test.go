@@ -1,11 +1,14 @@
 package partition
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/spillfile"
 )
 
 // spillFixture returns a cache with the spill tier rooted in a test
@@ -254,4 +257,68 @@ func TestEnableSpillErrors(t *testing.T) {
 	if err := c.EnableSpill(t.TempDir()); err == nil {
 		t.Fatal("double EnableSpill should error")
 	}
+}
+
+// TestReadSpillRejectsHostileFiles feeds readSpill files whose headers or
+// payloads lie: every one must come back as an error wrapping
+// spillfile.ErrCorrupt — never a panic, never a partition.
+func TestReadSpillRejectsHostileFiles(t *testing.T) {
+	c := spillFixture(t, 1<<20, nil)
+	c.Put(bitset.FromAttrs(1, 0), spillPart(0, 8)) // pins nrows = 8
+	good := spillPart(0, 8)
+	payload := func(offsets, backing []int32) []byte {
+		return append(spillfile.Int32Bytes(offsets), spillfile.Int32Bytes(backing)...)
+	}
+	file := func(nrows, noffs, nback int, body []byte) []byte {
+		hdr := spillfile.EncodeHeader(nrows, noffs, nback)
+		return append(hdr[:], body...)
+	}
+	cases := map[string][]byte{
+		"empty":              nil,
+		"foreign":            []byte("not a spill file at all, not at all"),
+		"header only":        file(8, 0, 0, nil),
+		"negative nback":     file(8, 10, -9, payload([]int32{0}, nil)),
+		"huge noffs":         file(8, 1<<61, 0, payload([]int32{0}, nil)),
+		"overflowing counts": file(8, 1<<62, 1<<62, payload([]int32{0, 2}, []int32{0, 1})),
+		"ragged payload":     append(file(8, 2, 2, payload([]int32{0, 2}, []int32{0, 1})), 7),
+		"wrong nrows":        file(9, len(good.offsets), len(good.backing), payload(good.offsets, good.backing)),
+		"offsets[0] != 0":    file(8, 2, 2, payload([]int32{1, 2}, []int32{0, 1})),
+		"last offset short":  file(8, 2, 2, payload([]int32{0, 1}, []int32{0, 1})),
+		"offsets decrease":   file(8, 3, 2, payload([]int32{0, 3, 2}, []int32{0, 1})),
+		"row out of range":   file(8, 2, 2, payload([]int32{0, 2}, []int32{0, 8})),
+		"negative row":       file(8, 2, 2, payload([]int32{0, 2}, []int32{-1, 3})),
+	}
+	dir := t.TempDir()
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			p, m, err := c.readSpill(path)
+			c.mu.Unlock()
+			if !errors.Is(err, spillfile.ErrCorrupt) || p != nil || m != nil {
+				t.Fatalf("readSpill = (%v, %d-byte mapping, %v), want ErrCorrupt", p, len(m), err)
+			}
+		})
+	}
+
+	// The well-formed file still reads back.
+	path := filepath.Join(dir, "good")
+	if err := os.WriteFile(path, file(8, len(good.offsets), len(good.backing), payload(good.offsets, good.backing)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	p, m, err := c.readSpill(path)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != nil {
+		c.mu.Lock()
+		c.spill.maps = append(c.spill.maps, m) // released by Close
+		c.mu.Unlock()
+	}
+	assertSameCompact(t, "good", 0, 0, good, p)
 }

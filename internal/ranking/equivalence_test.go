@@ -39,7 +39,10 @@ func (rk *seedRanker) partitionFor(lhs bitset.Set) *partition.Partition {
 	if p, ok := rk.cache[k]; ok {
 		return p
 	}
-	p := partition.ForAttrs(lhs, rk.r.Cols, rk.r.Cards)
+	p, _, err := partition.NewKernels(nil, 0, nil).ForAttrs(context.Background(), lhs, rk.r.Cols, rk.r.Cards)
+	if err != nil {
+		panic(err)
+	}
 	rk.cache[k] = p
 	return p
 }

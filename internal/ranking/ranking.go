@@ -177,77 +177,38 @@ func groupByLHS(fds []dep.FD) []lhsGroup {
 	return groups
 }
 
-// scratch is the per-worker reusable state of a ranking run.
+// scratch is the per-worker reusable state of a ranking run. Each
+// worker owns a one-worker partition.Kernels over the shared cache: its
+// ForAttrs refines a missing LHS from the longest cached attribute
+// prefix and publishes every intermediate prefix, so the LHSs of a
+// canonical cover — which share long prefixes — build each distinct
+// prefix once.
 type scratch struct {
 	members bitset.Bitmap // membership bitmap of the current partition
 	lhsNull bitset.Bitmap // union of the current LHS's null masks
 	attrs   []int         // LHS attribute scratch
-	prefix  bitset.Set    // prefix-chain scratch of partitionFor
-	rf      *partition.Refiner
+	kern    *partition.Kernels
 
 	built, reused, rows int64
 }
 
-// partitionFor returns π_X through the cache; the second result reports an
-// exact cache hit. On a miss the partition is built by refining from X's
-// longest cached attribute prefix, and every intermediate prefix partition
-// is published: the LHSs of a canonical cover share long prefixes, so
-// ranking builds each distinct prefix once — O(1) lookups per step —
-// instead of each LHS from its single columns (or from a linear whole-cache
-// subset scan, which is quadratic over thousands of groups).
-func (sc *scratch) partitionFor(c *partition.Cache, x bitset.Set, r *relation.Relation) (*partition.Partition, bool) {
-	if p := c.Get(x); p != nil {
-		return p, true
+// newScratch returns one scratch per worker, all materializing through
+// cache.
+func newScratch(workers int, cache *partition.Cache) []scratch {
+	ws := make([]scratch, workers)
+	for w := range ws {
+		ws[w].kern = partition.NewKernels(nil, 0, cache)
 	}
-	sc.attrs = x.AppendAttrs(sc.attrs[:0])
-	attrs := sc.attrs
-	if c == nil || len(attrs) == 0 {
-		return partition.ForAttrs(x, r.Cols, r.Cards), false
-	}
-	if sc.prefix == nil {
-		sc.prefix = bitset.New(r.NumCols())
-		maxCard := 1
-		for _, card := range r.Cards {
-			if card > maxCard {
-				maxCard = card
-			}
-		}
-		sc.rf = partition.NewRefiner(maxCard)
-	}
-	prefix := sc.prefix
-	prefix.Clear()
-	// Walk the ascending-attribute chain upward, remembering the longest
-	// cached strict prefix.
-	var p *partition.Partition
-	k := 0
-	for j := 0; j < len(attrs)-1; j++ {
-		prefix.Add(attrs[j])
-		q := c.Peek(prefix)
-		if q == nil {
-			break
-		}
-		p, k = q, j+1
-	}
-	prefix.Clear()
-	if k == 0 {
-		p = partition.Single(r.Cols[attrs[0]], r.Cards[attrs[0]])
-		prefix.Add(attrs[0])
-		c.Put(prefix, p)
-		k = 1
+	return ws
+}
+
+// count records how the current LHS partition was obtained.
+func (sc *scratch) count(reused bool) {
+	if reused {
+		sc.reused++
 	} else {
-		for j := 0; j < k; j++ {
-			prefix.Add(attrs[j])
-		}
+		sc.built++
 	}
-	for j := k; j < len(attrs); j++ {
-		prefix.Add(attrs[j])
-		if len(p.Clusters) > 0 {
-			p = sc.rf.Refine(p, r.Cols[attrs[j]], r.Cards[attrs[j]])
-			sc.rows += int64(p.Size())
-		}
-		c.Put(prefix, p)
-	}
-	return p, false
 }
 
 // lhsNullBitmap fills sc.lhsNull with the union of the LHS attributes'
@@ -328,17 +289,16 @@ func scoreGroups(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Co
 	groups := groupByLHS(fds)
 	out := make([]Counts, len(fds))
 	pool := engine.NewPool(cfg.Workers)
-	ws := make([]scratch, pool.Workers())
+	ws := newScratch(pool.Workers(), cache)
 	err := pool.Run(ctx, len(groups), func(w, gi int) {
 		faults.Check(faults.RankingRun)
 		g := groups[gi]
 		sc := &ws[w]
-		p, reused := sc.partitionFor(cache, g.lhs, r)
-		if reused {
-			sc.reused++
-		} else {
-			sc.built++
+		p, reused, err := sc.kern.ForAttrs(ctx, g.lhs, r.Cols, r.Cards)
+		if err != nil {
+			return // cancelled: Run reports ctx's error
 		}
+		sc.count(reused)
 		sc.members = p.Members(sc.members)
 		sc.rows += int64(p.Size())
 		lhsHasNulls := sc.lhsNullBitmap(r, g.lhs)
@@ -356,7 +316,7 @@ func mergeStats(ws []scratch, fds, groups, workers int, cache *partition.Cache, 
 	for i := range ws {
 		s.PartitionsBuilt += ws[i].built
 		s.PartitionsReused += ws[i].reused
-		s.RowsScanned += ws[i].rows
+		s.RowsScanned += ws[i].rows + ws[i].kern.RowsRefined()
 	}
 	delta := cache.Stats().Delta(cache0)
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions
@@ -387,7 +347,8 @@ func New(r *relation.Relation) *Ranker { return NewWith(r, Config{}) }
 // NewWith returns a ranker using the given cache/budget configuration
 // (Workers is ignored: a Ranker is serial by construction).
 func NewWith(r *relation.Relation, cfg Config) *Ranker {
-	return &Ranker{r: r, cfg: cfg, cache: cfg.cache()}
+	cache := cfg.cache()
+	return &Ranker{r: r, cfg: cfg, cache: cache, sc: newScratch(1, cache)[0]}
 }
 
 // FD computes the redundancy counts of one FD (set-valued RHS: counts sum
@@ -395,12 +356,12 @@ func NewWith(r *relation.Relation, cfg Config) *Ranker {
 func (rk *Ranker) FD(f dep.FD) Counts {
 	key := f.LHS.Key()
 	if rk.cur == nil || key != rk.curKey {
-		p, reused := rk.sc.partitionFor(rk.cache, f.LHS, rk.r)
-		if reused {
-			rk.stats.PartitionsReused++
-		} else {
-			rk.stats.PartitionsBuilt++
+		//fdvet:ignore ctxflow ctx-less serial Ranker; RankCtx is the primary API until=PR20
+		p, reused, err := rk.sc.kern.ForAttrs(context.Background(), f.LHS, rk.r.Cols, rk.r.Cards)
+		if err != nil {
+			panic(err) // a one-worker build fails only on cancellation
 		}
+		rk.sc.count(reused)
 		rk.cur, rk.curKey = p, key
 		rk.sc.members = p.Members(rk.sc.members)
 		rk.sc.rows += int64(p.Size())
@@ -415,7 +376,8 @@ func (rk *Ranker) FD(f dep.FD) Counts {
 func (rk *Ranker) Stats() Stats {
 	s := rk.stats
 	s.Workers = 1
-	s.RowsScanned = rk.sc.rows
+	s.PartitionsBuilt, s.PartitionsReused = rk.sc.built, rk.sc.reused
+	s.RowsScanned = rk.sc.rows + rk.sc.kern.RowsRefined()
 	delta := rk.cache.Stats()
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions
 	return s
@@ -507,7 +469,7 @@ func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Conf
 	cache0 := cache.Stats()
 	groups := groupByLHS(fds)
 	pool := engine.NewPool(cfg.Workers)
-	ws := make([]scratch, pool.Workers())
+	ws := newScratch(pool.Workers(), cache)
 	marked := make([][]bitset.Bitmap, pool.Workers()) // [worker][col]
 	for w := range marked {
 		marked[w] = make([]bitset.Bitmap, cols)
@@ -516,12 +478,11 @@ func TotalsCtx(ctx context.Context, r *relation.Relation, fds []dep.FD, cfg Conf
 		faults.Check(faults.RankingRun)
 		g := groups[gi]
 		sc := &ws[w]
-		p, reused := sc.partitionFor(cache, g.lhs, r)
-		if reused {
-			sc.reused++
-		} else {
-			sc.built++
+		p, reused, err := sc.kern.ForAttrs(ctx, g.lhs, r.Cols, r.Cards)
+		if err != nil {
+			return // cancelled: Run reports ctx's error
 		}
+		sc.count(reused)
 		sc.members = p.Members(sc.members)
 		sc.rows += int64(p.Size())
 		for _, i := range g.idxs {

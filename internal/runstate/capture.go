@@ -1,6 +1,7 @@
 package runstate
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/bitset"
@@ -151,14 +152,18 @@ func ManifestOf(c *partition.Cache, max int) ManifestSnap {
 
 // WarmCache rebuilds the manifest's partitions into the cache,
 // least-recent-first so the restored recency order matches the captured
-// one. Building goes through ForAttrsCached, so later manifest entries
-// refine from earlier ones where possible. No-op on a nil cache or empty
-// manifest.
-func WarmCache(c *partition.Cache, m ManifestSnap, cols [][]int32, cards []int) {
+// one. Building goes through a one-worker partition.Kernels, so later
+// manifest entries refine from earlier ones where possible. No-op on a
+// nil cache or empty manifest; cancellation stops the warm-up early
+// (the run observes ctx right after).
+func WarmCache(ctx context.Context, c *partition.Cache, m ManifestSnap, cols [][]int32, cards []int) {
 	if c == nil {
 		return
 	}
+	kern := partition.NewKernels(nil, 0, c)
 	for i := len(m.Keys) - 1; i >= 0; i-- {
-		partition.ForAttrsCached(c, m.Keys[i], cols, cards)
+		if _, _, err := kern.ForAttrs(ctx, m.Keys[i], cols, cards); err != nil {
+			return
+		}
 	}
 }

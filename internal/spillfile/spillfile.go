@@ -14,12 +14,18 @@ package spillfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"unsafe"
 )
 
 // Magic identifies a spill-format file; the version byte guards decode
 // against stale files from a different layout.
 var Magic = [8]byte{'P', 'L', 'I', 'S', 'P', 'L', '1', 0}
+
+// ErrCorrupt marks a spill-format file whose header or payload fails
+// its reader's validation. Readers wrap it, so callers can tell a
+// damaged file (drop it, recompute) from an I/O failure.
+var ErrCorrupt = errors.New("spillfile: corrupt file")
 
 // HeaderBytes is the fixed header size: the magic plus three
 // little-endian uint64 fields. For PLI spill files the fields are

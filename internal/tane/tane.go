@@ -9,8 +9,8 @@
 // they certify.
 //
 // The PLI intersections of one level are independent, so level generation
-// batches them through partition.IntersectBatch on the shared engine
-// pool; workers = 1 keeps the classic serial behaviour.
+// batches them through partition.Kernels.IntersectAll on the shared
+// engine pool; workers = 1 keeps the classic serial behaviour.
 //
 // As the paper observes, TANE excels when all FDs have short LHSs
 // (fd-reduced) and degrades badly with many columns; the partitions of a
@@ -122,6 +122,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	}
 	rs := engine.NewRunStats("tane", workers)
 	pool := engine.NewPoolRetry(workers, engine.RetryPolicy{Max: cfg.Retries})
+	kern := partition.NewKernels(pool, cfg.ShardSize, cfg.Cache)
+	// The key-FD minimality checks run mid-level; cancellation is observed
+	// at level boundaries, so only a kernel failure can stop them.
+	keyCtx := context.WithoutCancel(ctx)
 	if cfg.Resume != nil {
 		// Seed the report with the checkpointed run's accumulated phases,
 		// elapsed time and cache-traffic bases; the additive flushes below
@@ -194,13 +198,12 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	}
 
 	// partitionForSet rebuilds π_X for a checkpointed attribute set through
-	// the cache — sharded across the run's pool, byte-identical to the
-	// serial walk — charging the budget as the cached path does.
+	// the cache, charging the budget as the cached path does.
 	partitionForSet := func(x bitset.Set) (*partition.Partition, error) {
 		if x.IsEmpty() {
 			return emptyPart, nil
 		}
-		p, _, err := partition.ForAttrsCachedSharded(ctx, pool, cfg.Cache, x, r.Cols, r.Cards, cfg.ShardSize)
+		p, _, err := kern.ForAttrs(ctx, x, r.Cols, r.Cards)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +232,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		rs.CandidatesValidated = f.CandidatesValidated
 		rs.Invalidated = f.Invalidated
 		out = append(out, f.Out...)
-		runstate.WarmCache(cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
 		prevErr = make(map[string]int, len(f.Prev))
 		prevPart = make(map[string]*partition.Partition, len(f.Prev))
 		prevRecs = f.Prev
@@ -273,7 +276,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		// The sharded bootstrap charges the budget exactly as the old
 		// per-column loop did: cache hits as resident bytes, fresh builds
 		// as materialized partitions.
-		parts, built, err := partition.Singles(ctx, pool, r.Cols, r.Cards, cfg.ShardSize, cfg.Cache, cfg.Budget)
+		parts, built, err := kern.Singles(ctx, r.Cols, r.Cards, cfg.Budget)
 		rs.PartitionsBuilt += int64(built)
 		if err != nil {
 			stop()
@@ -440,7 +443,12 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			if cfg.MaxViolations == 0 && c.part.IsUnique() { // X is a (super)key
 				outside := c.cplus.Difference(c.set)
 				for a := outside.Next(0); a >= 0; a = outside.Next(a + 1) {
-					if keyFDMinimal(r, c, a, prevErr, prevPart, rs) {
+					minimal, err := keyFDMinimal(keyCtx, kern, r, c, a, prevErr, prevPart, rs)
+					if err != nil {
+						stop()
+						return fail(err)
+					}
+					if minimal {
 						rhs := bitset.New(n)
 						rhs.Add(a)
 						if cfg.TopK != nil {
@@ -488,7 +496,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, pool, level, curCPlus, n, rs, &cfg)
+		next, err := nextLevel(ctx, kern, level, curCPlus, n, rs, &cfg)
 		stop()
 		if err != nil {
 			return fail(err)
@@ -530,7 +538,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 // consults may already be pruned from the lattice, losing FDs. The
 // co-atom check covers arbitrary subsets by monotonicity. Only exact runs
 // call it: approximate runs disable the key rule.
-func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]int, prevPart map[string]*partition.Partition, rs *engine.RunStats) bool {
+func keyFDMinimal(ctx context.Context, kern *partition.Kernels, r *relation.Relation, c *candidate, a int, prevErr map[string]int, prevPart map[string]*partition.Partition, rs *engine.RunStats) (bool, error) {
 	rest := c.set.Clone()
 	for _, b := range c.attrs {
 		rest.Remove(b)
@@ -540,16 +548,19 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]
 		if !ok {
 			// Parent pruned: it was a key itself, so X∖{B} → A holds and
 			// X → A is not minimal.
-			return false
+			return false, nil
 		}
-		refined := partition.Refine(pRest, r.Cols[a], r.Cards[a])
+		refined, err := kern.Refine(ctx, pRest, r.Cols[a], r.Cards[a])
+		if err != nil {
+			return false, err
+		}
 		rs.PartitionsRefined += int64(len(pRest.Clusters))
 		rs.RowsScanned += int64(pRest.Size())
 		if refined.Error() == prevErr[k] {
-			return false // X∖{B} → A already valid
+			return false, nil // X∖{B} → A already valid
 		}
 	}
-	return true
+	return true, nil
 }
 
 // nextLevel generates level ℓ+1 by joining prefix blocks: two level-ℓ sets
@@ -557,10 +568,10 @@ func keyFDMinimal(r *relation.Relation, c *candidate, a int, prevErr map[string]
 // ℓ+1 subsets survive; C+ is the intersection of the subsets' C+ sets, and
 // the partition the product of the parents'. The pair scan is cheap and
 // serial; the PLI products — the level's hot path — run as one
-// partition.IntersectBatch over the worker pool. Candidates whose π_X the
+// Kernels.IntersectAll over the worker pool. Candidates whose π_X the
 // shared cache already holds skip the product entirely; fresh products are
 // published to the cache for later levels, verification and other runs.
-func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCPlus map[string]bitset.Set, n int, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+func nextLevel(ctx context.Context, kern *partition.Kernels, level []*candidate, curCPlus map[string]bitset.Set, n int, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
 	alive := level[:0:0]
 	for _, c := range level {
 		if !c.dead {
@@ -613,7 +624,7 @@ func nextLevel(ctx context.Context, pool *engine.Pool, level []*candidate, curCP
 			next = append(next, c)
 		}
 	}
-	parts, err := partition.IntersectBatchPool(ctx, pool, jobs)
+	parts, err := kern.IntersectAll(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

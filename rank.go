@@ -98,39 +98,3 @@ func RankForColumn(ctx context.Context, r *Relation, fds []FD, col int, opts ...
 	}
 	return ranking.ForColumnCtx(ctx, r, fds, col, cfg)
 }
-
-// RankConfig is the struct-valued tuning of the *With ranking entry
-// points, kept as a thin compatibility layer over the Option form the
-// rest of the API uses. The zero value ranks serially with a run-private
-// partition cache.
-type RankConfig struct {
-	// Workers fans the cover's LHS groups out over a worker pool; values
-	// below 2 keep the serial path.
-	Workers int
-	// Cache is a shared PLI cache (NewPLICache), typically the one a
-	// WithCache discovery filled, so ranking reuses the partitions
-	// discovery already built. Nil gives the run a private cache.
-	Cache *PLICache
-}
-
-// options converts the struct tuning to the shared Option form.
-func (rc RankConfig) options() []Option {
-	return []Option{WithWorkers(rc.Workers), WithCache(rc.Cache)}
-}
-
-// RankWith is Rank with struct-valued tuning; it delegates to Rank.
-func RankWith(ctx context.Context, r *Relation, fds []FD, cfg RankConfig) ([]RankedFD, RankStats, error) {
-	return Rank(ctx, r, fds, cfg.options()...)
-}
-
-// TotalRedundancyWith is TotalRedundancy with struct-valued tuning; it
-// delegates to TotalRedundancy.
-func TotalRedundancyWith(ctx context.Context, r *Relation, fds []FD, cfg RankConfig) (DatasetRedundancy, RankStats, error) {
-	return TotalRedundancy(ctx, r, fds, cfg.options()...)
-}
-
-// RankForColumnWith is RankForColumn with struct-valued tuning; it
-// delegates to RankForColumn.
-func RankForColumnWith(ctx context.Context, r *Relation, fds []FD, col int, cfg RankConfig) ([]ColumnLHSView, RankStats, error) {
-	return RankForColumn(ctx, r, fds, col, cfg.options()...)
-}
