@@ -87,7 +87,7 @@ bench-pr7:
 bench-pr8:
 	$(GO) run ./cmd/benchpr8 -o BENCH_pr8.json
 
-# The sharded multi-attribute kernels (partition.Kernels.Refine/Intersect
+# The multi-attribute kernels (partition.Kernels.Refine and IntersectAll
 # shard-count curves against a one-worker Kernels as the serial leg,
 # byte-identity checked per cell) and the off-heap column pager (a
 # 600k-row DFD run, covers compared across resident and paged legs, peak

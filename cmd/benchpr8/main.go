@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -212,7 +211,7 @@ func shardCurve(iters int, smoke bool) (shardReport, error) {
 				})
 				cell := shardCell{Shards: shards, ShardSize: shardSize, Workers: workers, Ns: ns, Identical: true}
 				for a := range attrs {
-					if !reflect.DeepEqual(built[a].Clusters, baseline[a].Clusters) {
+					if !built[a].Identical(baseline[a]) {
 						cell.Identical = false
 					}
 				}

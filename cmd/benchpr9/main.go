@@ -1,10 +1,13 @@
 // Command benchpr9 measures the sharded multi-attribute partition kernels
 // and the off-heap column pager.
 //
-// Section one times Refine and Intersect — the kernels every lattice walk
-// lives in — over a shard-count curve: the serial kernel is the baseline,
-// then the sharded variant runs at 1–16 shards with one worker and with
-// every core, checking each result byte-identical to the serial output.
+// Section one times Refine and IntersectAll — the kernels every lattice
+// walk lives in — over a shard-count curve: the serial kernel is the
+// baseline, then the pool variant runs at 1–16 shards with one worker and
+// with every core, checking each result byte-identical to the serial
+// output. Refine shards one partition's clusters; IntersectAll fans a
+// level's worth of PLI products out over the pool, each job serially on
+// one worker, so its cells vary only in workers.
 // The gate adapts to the host exactly like benchpr8's: with more than one
 // CPU the best sharded cell must beat the serial baseline outright; on a
 // single CPU it must stay within 5% pool overhead.
@@ -30,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -54,7 +56,7 @@ type kernelCell struct {
 	Identical bool  `json:"identical"` // byte-identical to the serial kernel
 }
 
-// kernelReport is the curve of one kernel (refine or intersect).
+// kernelReport is the curve of one kernel (refine or intersectall).
 type kernelReport struct {
 	Kernel   string       `json:"kernel"`
 	SerialNs int64        `json:"serial_ns"`
@@ -162,7 +164,7 @@ func main() {
 	}
 }
 
-// kernelCurves times partition.Kernels' Refine and Intersect at every
+// kernelCurves times partition.Kernels' Refine and IntersectAll at every
 // (shards, workers) cell against a one-worker Kernels — the serial
 // kernel — on one ncvoter-shaped relation. A breached gate is
 // re-measured up to twice; only a reproducible breach fails the harness.
@@ -188,26 +190,34 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 	if err != nil {
 		return shardReport{}, err
 	}
-	probe := partition.NewProbeTable(partition.Single(r.Cols[6], r.Cards[6]))
+	// The product batch: π_{gender,zip} times every other column, one
+	// IntersectJob each, the shape of one TANE level's products.
+	var jobs []partition.IntersectJob
+	for c := 0; c < cols; c++ {
+		if c != 4 && c != 5 {
+			jobs = append(jobs, partition.IntersectJob{Part: parent, Col: r.Cols[c], Card: r.Cards[c]})
+		}
+	}
 
 	// Each kernel runs through partition.Kernels; the serial leg is a
 	// one-worker Kernels, which takes the serial kernel directly.
 	type kernel struct {
 		name string
-		run  func(k *partition.Kernels) (*partition.Partition, error)
+		run  func(k *partition.Kernels) ([]*partition.Partition, error)
 	}
 	kernels := []kernel{
-		{"refine", func(k *partition.Kernels) (*partition.Partition, error) {
-			return k.Refine(ctx, parent, r.Cols[1], r.Cards[1])
+		{"refine", func(k *partition.Kernels) ([]*partition.Partition, error) {
+			p, err := k.Refine(ctx, parent, r.Cols[1], r.Cards[1])
+			return []*partition.Partition{p}, err
 		}},
-		{"intersect", func(k *partition.Kernels) (*partition.Partition, error) {
-			return k.Intersect(ctx, parent, probe)
+		{"intersectall", func(k *partition.Kernels) ([]*partition.Partition, error) {
+			return k.IntersectAll(ctx, jobs)
 		}},
 	}
 
 	measure := func(k kernel) kernelReport {
 		kr := kernelReport{Kernel: k.name}
-		var want *partition.Partition
+		var want []*partition.Partition
 		serial := partition.NewKernels(nil, 0, nil)
 		kr.SerialNs = minNs(iters, func() error {
 			var err error
@@ -222,7 +232,7 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 			shardSize := (rows + shards - 1) / shards
 			for _, workers := range workerSet {
 				kern := partition.NewKernels(engine.NewPool(workers), shardSize, nil)
-				var got *partition.Partition
+				var got []*partition.Partition
 				ns := minNs(iters, func() error {
 					var berr error
 					got, berr = k.run(kern)
@@ -230,7 +240,7 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 				})
 				cell := kernelCell{
 					Shards: shards, ShardSize: shardSize, Workers: workers, Ns: ns,
-					Identical: reflect.DeepEqual(got.Clusters, want.Clusters),
+					Identical: identical(got, want),
 				}
 				kr.Cells = append(kr.Cells, cell)
 				if kr.BestNs == 0 || ns < kr.BestNs {
@@ -268,10 +278,10 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 			}
 		}
 		for _, c := range best.Cells {
-			fmt.Fprintf(os.Stderr, "%-9s %2dx w=%d  %-10v identical=%v\n",
+			fmt.Fprintf(os.Stderr, "%-12s %2dx w=%d  %-10v identical=%v\n",
 				best.Kernel, c.Shards, c.Workers, time.Duration(c.Ns).Round(time.Microsecond), c.Identical)
 		}
-		fmt.Fprintf(os.Stderr, "%-9s serial %-10v best sharded %v (%+.1f%%) gate[%s] pass=%v\n",
+		fmt.Fprintf(os.Stderr, "%-12s serial %-10v best sharded %v (%+.1f%%) gate[%s] pass=%v\n",
 			best.Kernel, time.Duration(best.SerialNs).Round(time.Microsecond),
 			time.Duration(best.BestNs).Round(time.Microsecond), best.Overhead*100, best.Gate, best.Pass)
 		sr.Kernels = append(sr.Kernels, best)
@@ -280,6 +290,20 @@ func kernelCurves(iters int, smoke bool) (shardReport, error) {
 		}
 	}
 	return sr, nil
+}
+
+// identical reports whether two kernel outputs hold the same partitions
+// in the same order, each byte-identical in layout.
+func identical(got, want []*partition.Partition) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if !got[i].Identical(want[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pagerSpec is the pager-section workload: categorical bulk plus one

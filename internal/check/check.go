@@ -25,16 +25,18 @@ type Violation struct {
 // FD returns up to limit violations of f on r (0 = all). An empty result
 // means the FD holds.
 func FD(r *relation.Relation, f dep.FD, limit int) []Violation {
-	return violations(r, f, partitionOf(r, f.LHS).Clusters, limit)
+	p := partitionOf(r, f.LHS)
+	return violations(r, f, p, 0, p.Card(), limit)
 }
 
 // violations returns up to limit (0 = all) witness pairs against f from
-// clusters of π_LHS: within a cluster all rows agree on the LHS, so each
-// row differing from the cluster's first row on an RHS attribute is one
-// witness.
-func violations(r *relation.Relation, f dep.FD, clusters [][]int32, limit int) []Violation {
+// clusters [lo, hi) of p = π_LHS: within a cluster all rows agree on the
+// LHS, so each row differing from the cluster's first row on an RHS
+// attribute is one witness.
+func violations(r *relation.Relation, f dep.FD, p *partition.Partition, lo, hi, limit int) []Violation {
 	var out []Violation
-	for _, cluster := range clusters {
+	for i := lo; i < hi; i++ {
+		cluster := p.Cluster(i)
 		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 			first := cluster[0]
 			for _, row := range cluster[1:] {
@@ -175,7 +177,7 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 		if err != nil {
 			return rep, err
 		}
-		cuts := partition.ShardClusters(p.Clusters, opts.ShardSize)
+		cuts := partition.ShardClusters(p, opts.ShardSize)
 		var sound bool
 		if opts.MaxViolations > 0 {
 			var total int
@@ -204,7 +206,7 @@ func VerifyCover(ctx context.Context, r *relation.Relation, fds []dep.FD, opts V
 func fdViolated(ctx context.Context, pool *engine.Pool, r *relation.Relation, f dep.FD, p *partition.Partition, cuts []int) (bool, error) {
 	violated := make([]bool, len(cuts)-1)
 	err := pool.Run(ctx, len(violated), func(_, s int) {
-		violated[s] = len(violations(r, f, p.Clusters[cuts[s]:cuts[s+1]], 1)) > 0
+		violated[s] = len(violations(r, f, p, cuts[s], cuts[s+1], 1)) > 0
 	})
 	return slices.Contains(violated, true), err
 }
@@ -226,7 +228,7 @@ func g3Violations(ctx context.Context, pool *engine.Pool, r *relation.Relation, 
 			if counters[w] == nil {
 				counters[w] = partition.NewG3Counter(card)
 			}
-			counts[s] = counters[w].ViolationsClusters(p.Clusters[cuts[s]:cuts[s+1]], col, card, limit)
+			counts[s] = counters[w].ViolationsRange(p, cuts[s], cuts[s+1], col, card, limit)
 		})
 		if err != nil {
 			return 0, err
@@ -244,10 +246,9 @@ func g3Violations(ctx context.Context, pool *engine.Pool, r *relation.Relation, 
 // Keys verifies that an attribute set is unique on r, returning a
 // duplicate row pair if not.
 func Keys(r *relation.Relation, key bitset.Set) (int, int, bool) {
-	for _, cluster := range partitionOf(r, key).Clusters {
-		if len(cluster) >= 2 {
-			return int(cluster[0]), int(cluster[1]), false
-		}
+	if p := partitionOf(r, key); p.Card() > 0 {
+		cluster := p.Cluster(0)
+		return int(cluster[0]), int(cluster[1]), false
 	}
 	return 0, 0, true
 }

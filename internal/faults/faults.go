@@ -37,15 +37,16 @@ const (
 	// PartitionShardMerge fires once per shard inside the scatter step of
 	// the sharded single-attribute builder (Kernels.Singles on a pool
 	// wider than one worker), the merge that lays per-shard groups into
-	// the shared compact backing.
+	// the shared backing.
 	PartitionShardMerge Site = "partition.shardmerge"
-	// PartitionIntersect fires once per PLI product, in
-	// partition.Kernels.Intersect and per Kernels.IntersectAll job.
+	// PartitionIntersect fires once per PLI product: once per
+	// partition.Kernels.IntersectAll job, the one-column refinements that
+	// build TANE's lattice levels.
 	PartitionIntersect Site = "partition.intersect"
 	// PartitionRefineShard fires once per shard inside the stitch step of
-	// the sharded multi-attribute kernels (Kernels.Refine and
-	// Kernels.Intersect on a pool wider than one worker), the scatter
-	// that lays per-shard sub-clusters into the shared compact backing.
+	// the sharded refinement (Kernels.Refine on a pool wider than one
+	// worker), the scatter that lays per-shard sub-clusters into the
+	// shared backing.
 	PartitionRefineShard Site = "partition.refineshard"
 	// DDMRefresh fires at the start of a DHyFD dynamic-data-manager
 	// refresh (Algorithm 3).

@@ -139,10 +139,8 @@ func newSampler(ctx context.Context, pool *engine.Pool, r *relation.Relation, pl
 	s := &sampler{ctx: ctx, pool: pool, r: r, plis: plis, cfg: cfg}
 	for c := range plis {
 		maxCluster := 0
-		for _, cl := range plis[c].Clusters {
-			if len(cl) > maxCluster {
-				maxCluster = len(cl)
-			}
+		for i := 0; i < plis[c].Card(); i++ {
+			maxCluster = max(maxCluster, len(plis[c].Cluster(i)))
 		}
 		s.runs = append(s.runs, run{
 			col:        c,

@@ -22,16 +22,16 @@ func TestBatchCancellation(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(3))
 	p := Single(randColumn(rng, 100, 3), 3)
+	col := randColumn(rng, 100, 3)
 	jobs := make([]IntersectJob, 500)
 	for i := range jobs {
-		jobs[i] = IntersectJob{Left: p, Right: p}
+		jobs[i] = IntersectJob{Part: p, Col: col, Card: 3}
 	}
 	k := NewKernels(engine.NewPool(2), 0, nil)
 	if _, err := k.IntersectAll(ctx, jobs); !errors.Is(err, context.Canceled) {
 		t.Errorf("IntersectAll err = %v, want context.Canceled", err)
 	}
 	rjobs := make([]RefineJob, 500)
-	col := randColumn(rng, 100, 3)
 	for i := range rjobs {
 		rjobs[i] = RefineJob{Part: p, Cols: [][]int32{col}, Cards: []int{3}}
 	}

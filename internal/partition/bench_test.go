@@ -37,26 +37,27 @@ func BenchmarkRefine100k(b *testing.B) {
 	}
 }
 
+// BenchmarkIntersect100k times one PLI product as TANE runs it: an
+// IntersectAll job refining π_a by column c.
 func BenchmarkIntersect100k(b *testing.B) {
 	a := randomColumn(100_000, 50, 1)
 	c := randomColumn(100_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	probe := NewProbeTable(pc)
+	jobs := []IntersectJob{{Part: Single(a, 50), Col: c, Card: 50}}
 	k := NewKernels(nil, 0, nil)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = k.Intersect(ctx, pa, probe)
+		_, _ = k.IntersectAll(ctx, jobs)
 	}
 }
 
 func BenchmarkRefineVsIntersect(b *testing.B) {
 	// The micro-comparison behind the DDM: dynamic refinement vs the PLI
-	// product TANE uses.
+	// product TANE uses, which is the same kernel run as a batch job.
 	a := randomColumn(50_000, 200, 1)
 	c := randomColumn(50_000, 200, 2)
-	pa, pc := Single(a, 200), Single(c, 200)
+	pa := Single(a, 200)
 	k := NewKernels(nil, 0, nil)
 	ctx := context.Background()
 	b.Run("refine", func(b *testing.B) {
@@ -65,43 +66,34 @@ func BenchmarkRefineVsIntersect(b *testing.B) {
 		}
 	})
 	b.Run("intersect", func(b *testing.B) {
-		probe := NewProbeTable(pc)
+		jobs := []IntersectJob{{Part: pa, Col: c, Card: 200}}
 		for i := 0; i < b.N; i++ {
-			_, _ = k.Intersect(ctx, pa, probe)
+			_, _ = k.IntersectAll(ctx, jobs)
 		}
 	})
 }
 
-// TestIntersectorAllocsPerRun pins the allocation profile of the reused
-// intersection kernel: after warm-up, one Intersect costs only its output
-// (partition struct, backing, offsets, cluster views — plus bounded
-// offsets growth), never a map or a per-call probe table.
-func TestIntersectorAllocsPerRun(t *testing.T) {
-	a := randomColumn(20_000, 50, 1)
+// TestRefinerAllocsPerRun pins the allocation profile of the product
+// kernel: after warm-up, one refine costs its partition struct, backing
+// and offsets — at most three allocations, however many clusters it
+// emits — and both arrays are exact-size, with no spare capacity.
+func TestRefinerAllocsPerRun(t *testing.T) {
 	c := randomColumn(20_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	ix := &intersector{}
-	probe := NewProbeTable(pc)
-	ix.intersect(pa, probe) // warm scratch
-	if got := testing.AllocsPerRun(10, func() { ix.intersect(pa, probe) }); got > 4 {
-		t.Errorf("Intersect allocs/run = %.0f, want <= 4", got)
-	}
-}
-
-// TestProbeTableFillReuses: refilling an adequately sized probe table
-// allocates nothing — the per-level reuse IntersectAll relies on.
-func TestProbeTableFillReuses(t *testing.T) {
-	a := randomColumn(20_000, 50, 1)
-	c := randomColumn(20_000, 50, 2)
-	pa, pc := Single(a, 50), Single(c, 50)
-	probe := NewProbeTable(pa)
-	if got := testing.AllocsPerRun(10, func() { probe = probe.Fill(pc) }); got != 0 {
-		t.Errorf("Fill allocs/run = %.0f, want 0", got)
-	}
-	want := NewProbeTable(pc)
-	for i := range want {
-		if probe[i] != want[i] {
-			t.Fatalf("refilled probe differs at row %d", i)
+	allocs := map[int]float64{}
+	for _, card := range []int{5, 5000} { // ~5 clusters vs ~5000
+		p := Single(randomColumn(20_000, card, 1), card)
+		rf := &Refiner{}
+		out := rf.refine(p, c, 50) // warm scratch
+		if len(out.backing) != cap(out.backing) || len(out.offsets) != cap(out.offsets) {
+			t.Errorf("card %d: backing len/cap %d/%d, offsets len/cap %d/%d, want exact-size",
+				card, len(out.backing), cap(out.backing), len(out.offsets), cap(out.offsets))
 		}
+		allocs[card] = testing.AllocsPerRun(10, func() { rf.refine(p, c, 50) })
+		if allocs[card] > 3 {
+			t.Errorf("card %d: refine allocs/run = %.0f, want <= 3", card, allocs[card])
+		}
+	}
+	if allocs[5] != allocs[5000] {
+		t.Errorf("refine allocs/run depend on the cluster count: %v", allocs)
 	}
 }

@@ -13,11 +13,16 @@ const sliceHeaderBytes = 24
 // Cost approximates the resident bytes of a stripped partition: one slice
 // header per cluster plus four bytes per row inside clusters — the
 // clusters × rows accounting the memory-budget machinery charges.
+//
+// Partitions are headerless now: a cluster really costs one four-byte
+// offset, not a 24-byte header, so the charge overstates resident memory
+// and the budget trips early rather than late. The formula stays as it
+// is so that the points where budgeted runs degrade do not move.
 func Cost(p *Partition) int64 {
 	if p == nil {
 		return 0
 	}
-	return int64(len(p.Clusters))*sliceHeaderBytes + int64(p.Size())*4
+	return int64(p.Card())*sliceHeaderBytes + int64(p.Size())*4
 }
 
 // Budget bounds the partition memory a discovery run may hold and the

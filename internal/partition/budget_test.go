@@ -8,7 +8,7 @@ import (
 
 func budgetTestPartition() *Partition {
 	// Two clusters over six rows: cost = 2*24 + 6*4 = 72.
-	return &Partition{Clusters: [][]int32{{0, 1}, {2, 3, 4, 5}}, NRows: 6}
+	return fromClusters(6, [][]int32{{0, 1}, {2, 3, 4, 5}})
 }
 
 func TestBudgetNilUnlimited(t *testing.T) {
@@ -31,7 +31,7 @@ func TestBudgetCost(t *testing.T) {
 		t.Errorf("Cost(nil) = %d", got)
 	}
 	p := budgetTestPartition()
-	want := int64(len(p.Clusters))*sliceHeaderBytes + int64(p.Size())*4
+	want := int64(p.Card())*sliceHeaderBytes + int64(p.Size())*4
 	if got := Cost(p); got != want {
 		t.Errorf("Cost = %d, want %d", got, want)
 	}

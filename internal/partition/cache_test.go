@@ -8,11 +8,10 @@ import (
 	"repro/internal/bitset"
 )
 
-// testPart builds a compact partition with the given clusters, for cache
-// tests that need precise Cost and Error values.
+// testPart builds a partition with the given clusters, for cache tests
+// that need precise Cost and Error values.
 func testPart(nrows int, clusters ...[]int32) *Partition {
-	p := &Partition{NRows: nrows, Clusters: clusters}
-	return p.Clone()
+	return fromClusters(nrows, clusters)
 }
 
 func TestCacheNilSafety(t *testing.T) {

@@ -31,18 +31,19 @@ func (g *G3Counter) grow(card int) {
 // the total exceeds limit — callers only need to compare against limit,
 // so any return > limit means "too many".
 func (g *G3Counter) Violations(p *Partition, col []int32, card int, limit int) int {
-	return g.ViolationsClusters(p.Clusters, col, card, limit)
+	return g.ViolationsRange(p, 0, p.Card(), col, card, limit)
 }
 
-// ViolationsClusters is Violations over an explicit cluster list — the
+// ViolationsRange is Violations over clusters [lo, hi) of p — the
 // sharded post-run verifier counts contiguous cluster ranges with it
 // and reconciles the per-range counts. Clusters violate independently,
 // so summing range counts (each early-exited past limit) decides
 // "total > limit" exactly as the whole-partition scan does.
-func (g *G3Counter) ViolationsClusters(clusters [][]int32, col []int32, card int, limit int) int {
+func (g *G3Counter) ViolationsRange(p *Partition, lo, hi int, col []int32, card int, limit int) int {
 	g.grow(card)
 	total := 0
-	for _, cluster := range clusters {
+	for i := lo; i < hi; i++ {
+		cluster := p.Cluster(i)
 		var max int32
 		for _, row := range cluster {
 			code := col[row]

@@ -9,17 +9,16 @@ import (
 )
 
 // Kernels is the one surface of the partition kernels: single-attribute
-// builds, refinement, intersection, and the cached materialization of
-// π_X, each alone or as a batch of jobs. It owns a worker pool, a shard
-// size, an optional PLI cache, and per-worker scratch (a Refiner, an
-// intersector, a probe table) that persists across calls, so warm
-// kernels allocate only their outputs.
+// builds, refinement, TANE's PLI products, and the cached materialization
+// of π_X, each alone or as a batch of jobs. It owns a worker pool, a shard
+// size, an optional PLI cache, and one Refiner per worker that persists
+// across calls, so warm kernels allocate only their outputs.
 //
 // Every method picks its execution strategy from what it can observe:
 // on a one-worker pool, or when the input fits in one shard, it runs the
 // serial kernel on the first worker's scratch; otherwise it shards the
 // input row-wise across the pool and stitches the per-shard outputs.
-// Both strategies produce byte-identical compact layouts at every
+// Both strategies produce byte-identical layouts at every
 // (workers, shardSize). The batch methods fan whole jobs out over the
 // pool instead, one serial kernel per job.
 //
@@ -30,21 +29,13 @@ type Kernels struct {
 	pool    *engine.Pool
 	size    int
 	cache   *Cache
-	scratch []kernelScratch // one per pool worker
+	scratch []*Refiner // one per pool worker
 
 	// ForAttrs scratch, used by the driving goroutine only.
 	attrs  []int
 	prefix bitset.Set
 	key    []byte
 	rows   int64 // rows of the partitions ForAttrs refinements produced
-}
-
-// kernelScratch is one pool worker's reusable kernel state.
-type kernelScratch struct {
-	rf     *Refiner
-	ix     *intersector
-	probe  ProbeTable
-	probed *Partition // the partition probe was last filled from
 }
 
 // NewKernels returns kernels running on pool with shardSize-row shards,
@@ -58,10 +49,9 @@ func NewKernels(pool *engine.Pool, shardSize int, cache *Cache) *Kernels {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	k := &Kernels{pool: pool, size: shardSize, cache: cache, scratch: make([]kernelScratch, pool.Workers())}
+	k := &Kernels{pool: pool, size: shardSize, cache: cache, scratch: make([]*Refiner, pool.Workers())}
 	for w := range k.scratch {
-		k.scratch[w].rf = &Refiner{}
-		k.scratch[w].ix = &intersector{}
+		k.scratch[w] = &Refiner{}
 	}
 	return k
 }
@@ -73,7 +63,7 @@ func (k *Kernels) cuts(p *Partition) []int {
 	if k.pool.Workers() == 1 {
 		return nil
 	}
-	if cuts := ShardClusters(p.Clusters, k.size); len(cuts) > 2 {
+	if cuts := ShardClusters(p, k.size); len(cuts) > 2 {
 		return cuts
 	}
 	return nil
@@ -157,30 +147,12 @@ func (k *Kernels) Singles(ctx context.Context, cols [][]int32, cards []int, budg
 // with no partial partition.
 func (k *Kernels) Refine(ctx context.Context, p *Partition, col []int32, card int) (*Partition, error) {
 	if cuts := k.cuts(p); cuts != nil {
-		return k.sharded(ctx, p, cuts, func(s *kernelScratch, clusters [][]int32, backing, ends []int32) ([]int32, []int32) {
-			s.rf.grow(card)
-			return s.rf.refineRange(clusters, col, backing, ends)
-		})
+		return k.sharded(ctx, p, cuts, col, card)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return k.scratch[0].rf.refine(p, col, card), nil
-}
-
-// Intersect computes π_XY from π_X and a probe table of π_Y, firing the
-// partition.intersect fault site once per product.
-func (k *Kernels) Intersect(ctx context.Context, p *Partition, probe ProbeTable) (*Partition, error) {
-	faults.Check(faults.PartitionIntersect)
-	if cuts := k.cuts(p); cuts != nil {
-		return k.sharded(ctx, p, cuts, func(s *kernelScratch, clusters [][]int32, backing, ends []int32) ([]int32, []int32) {
-			return s.ix.intersectRange(clusters, probe, backing, ends)
-		})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return k.scratch[0].ix.intersect(p, probe), nil
+	return k.scratch[0].refine(p, col, card), nil
 }
 
 // ForAttrs computes π_X for an attribute set; cols and cards describe
@@ -213,7 +185,7 @@ func (k *Kernels) ForAttrs(ctx context.Context, x bitset.Set, cols [][]int32, ca
 	k.attrs = x.AppendAttrs(k.attrs[:0])
 	attrs := k.attrs
 	if len(attrs) == 0 {
-		return fullPartition(nrows), false, ctx.Err()
+		return Full(nrows), false, ctx.Err()
 	}
 	if len(k.prefix) != len(x) {
 		k.prefix = make(bitset.Set, len(x))
@@ -236,7 +208,7 @@ func (k *Kernels) ForAttrs(ctx context.Context, x bitset.Set, cols [][]int32, ca
 		c.Put(k.prefix, p) // Put is a no-op on a nil cache
 	}
 	for _, a := range attrs[start:] {
-		if len(p.Clusters) > 0 {
+		if p.Card() > 0 {
 			if p, err = k.Refine(ctx, p, cols[a], cards[a]); err != nil {
 				return nil, false, err
 			}
@@ -270,10 +242,10 @@ type RefineJob struct {
 func (k *Kernels) RefineAll(ctx context.Context, jobs []RefineJob) ([]*Partition, error) {
 	out := make([]*Partition, len(jobs))
 	err := k.pool.Run(ctx, len(jobs), func(w, i int) {
-		rf := k.scratch[w].rf
+		rf := k.scratch[w]
 		p := jobs[i].Part
 		for c, col := range jobs[i].Cols {
-			if len(p.Clusters) == 0 {
+			if p.Card() == 0 {
 				break
 			}
 			p = rf.refine(p, col, jobs[i].Cards[c])
@@ -283,38 +255,30 @@ func (k *Kernels) RefineAll(ctx context.Context, jobs []RefineJob) ([]*Partition
 	return out, err
 }
 
-// IntersectJob is one PLI product π_Left ∩ π_Right. The probe table is
-// built inside the worker so that its construction parallelizes with the
-// intersections.
+// IntersectJob is one PLI product of TANE's prefix-block join: for
+// parents π_PA and π_PB, π_PAB is π_PA refined by column B, and equally
+// π_PB refined by column A. Part is the parent to refine — the one with
+// the smaller ‖π‖ is cheaper — and Col (cardinality Card) the other
+// parent's last attribute. The identity holds under both null semantics:
+// under null ≠ null every null carries its own code.
 type IntersectJob struct {
-	Left, Right *Partition
+	Part *Partition
+	Col  []int32
+	Card int
 }
 
-// IntersectAll computes every job's intersection on the pool and returns
-// the results in job order, firing partition.intersect once per job.
-// Each worker probes the Left side with its own probe table, so runs of
-// jobs sharing Left (TANE generates its prefix blocks that way) reuse
-// the probe as built and other jobs refill the same buffer. On
-// cancellation the partial results are returned with ctx's error;
-// unprocessed entries are nil. Re-running an item is safe: the probe
-// refill check is idempotent and out[i] is written only as the item's
+// IntersectAll computes every job's product on the pool, each job
+// serially on its worker's Refiner, and returns the results in job
+// order, firing partition.intersect once per job. On cancellation the
+// partial results are returned with ctx's error; unprocessed entries are
+// nil. Re-running an item is safe: out[i] is written only as the item's
 // last step.
 func (k *Kernels) IntersectAll(ctx context.Context, jobs []IntersectJob) ([]*Partition, error) {
 	out := make([]*Partition, len(jobs))
 	err := k.pool.Run(ctx, len(jobs), func(w, i int) {
 		faults.Check(faults.PartitionIntersect)
-		j, s := jobs[i], &k.scratch[w]
-		if s.probed != j.Left {
-			s.probe = s.probe.Fill(j.Left)
-			s.probed = j.Left
-		}
-		// Intersection is symmetric: probing Left and iterating Right
-		// yields the same clusters as the converse.
-		out[i] = s.ix.intersect(j.Right, s.probe)
+		j := jobs[i]
+		out[i] = k.scratch[w].refine(j.Part, j.Col, j.Card)
 	})
-	// Keep the probe buffers but let the batch's partitions go.
-	for w := range k.scratch {
-		k.scratch[w].probed = nil
-	}
 	return out, err
 }

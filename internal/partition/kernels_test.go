@@ -14,14 +14,10 @@ import (
 	"repro/internal/relation"
 )
 
-// refineRef and intersectRef are the serial reference kernels every
-// Kernels strategy must reproduce byte for byte.
+// refineRef is the serial reference kernel every Kernels strategy must
+// reproduce byte for byte.
 func refineRef(p *Partition, col []int32, card int) *Partition {
 	return (&Refiner{}).refine(p, col, card)
-}
-
-func intersectRef(p *Partition, probe ProbeTable) *Partition {
-	return (&intersector{}).intersect(p, probe)
 }
 
 // forAttrs is π_X through a fresh one-worker, uncached Kernels.
@@ -38,7 +34,7 @@ func forAttrs(x bitset.Set, cols [][]int32, cards []int) *Partition {
 func chainRef(r *relation.Relation, attrs []int) *Partition {
 	p := Single(r.Cols[attrs[0]], r.Cards[attrs[0]])
 	for _, a := range attrs[1:] {
-		if len(p.Clusters) == 0 {
+		if p.Card() == 0 {
 			break
 		}
 		p = refineRef(p, r.Cols[a], r.Cards[a])
@@ -122,13 +118,23 @@ func TestKernelsMatrix(t *testing.T) {
 			}
 		}},
 		{"Intersect", func(t *testing.T, in kernelsInput, k *Kernels, shardSize int) {
-			pa := Single(in.r.Cols[0], in.r.Cards[0])
-			probe := NewProbeTable(Single(in.r.Cols[1], in.r.Cards[1]))
-			got, err := k.Intersect(ctx, pa, probe)
+			// The product of π_{0,1} and π_{0,2}, refining either parent
+			// by the other's last column, is π_{0,1,2}.
+			r, n := in.r, in.r.NumCols()
+			p01 := forAttrs(bitset.FromAttrs(n, 0, 1), r.Cols, r.Cards)
+			p02 := forAttrs(bitset.FromAttrs(n, 0, 2), r.Cols, r.Cards)
+			got, err := k.IntersectAll(ctx, []IntersectJob{
+				{Part: p01, Col: r.Cols[2], Card: r.Cards[2]},
+				{Part: p02, Col: r.Cols[1], Card: r.Cards[1]},
+			})
 			if err != nil {
 				t.Fatalf("%s shard=%d: %v", in.name, shardSize, err)
 			}
-			assertSameCompact(t, in.name, shardSize, 1, intersectRef(pa, probe), got)
+			for side, p := range got {
+				if want := forAttrs(bitset.FromAttrs(n, 0, 1, 2), r.Cols, r.Cards); !p.Equal(want) {
+					t.Fatalf("%s shard=%d side %d: product differs from π_{0,1,2}", in.name, shardSize, side)
+				}
+			}
 		}},
 		{"ForAttrs", func(t *testing.T, in kernelsInput, k *Kernels, shardSize int) {
 			for i, x := range attrSets(in.r.NumCols()) {
@@ -201,13 +207,13 @@ func TestKernelsMatrix(t *testing.T) {
 			for c := range singles {
 				singles[c] = Single(r.Cols[c], r.Cards[c])
 			}
-			// Runs of jobs share Left, like TANE's prefix blocks.
+			// Runs of jobs share Part, like TANE's prefix blocks.
 			var jobs []IntersectJob
 			var want []*Partition
 			for c := 0; c < n; c++ {
 				for _, d := range []int{(c + 1) % n, (c + 2) % n} {
-					jobs = append(jobs, IntersectJob{Left: singles[c], Right: singles[d]})
-					want = append(want, intersectRef(singles[d], NewProbeTable(singles[c])))
+					jobs = append(jobs, IntersectJob{Part: singles[c], Col: r.Cols[d], Card: r.Cards[d]})
+					want = append(want, refineRef(singles[c], r.Cols[d], r.Cards[d]))
 				}
 			}
 			got, err := k.IntersectAll(ctx, jobs)
@@ -267,8 +273,8 @@ func TestKernelsForAttrsCacheAccounting(t *testing.T) {
 }
 
 // TestKernelsAllocsPerRun pins the warm one-worker paths: Refine
-// allocates only its output partition (struct, backing, offsets,
-// cluster views) and a ForAttrs exact hit allocates nothing.
+// allocates only its output partition (struct, backing, offsets) and a
+// ForAttrs exact hit allocates nothing.
 func TestKernelsAllocsPerRun(t *testing.T) {
 	ctx := context.Background()
 	a := randomColumn(20_000, 50, 1)
@@ -278,8 +284,8 @@ func TestKernelsAllocsPerRun(t *testing.T) {
 	if _, err := k.Refine(ctx, pa, c, 50); err != nil { // warm scratch
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(10, func() { _, _ = k.Refine(ctx, pa, c, 50) }); got > 4 {
-		t.Errorf("Refine allocs/run = %.0f, want <= 4", got)
+	if got := testing.AllocsPerRun(10, func() { _, _ = k.Refine(ctx, pa, c, 50) }); got > 3 {
+		t.Errorf("Refine allocs/run = %.0f, want <= 3", got)
 	}
 
 	kc := NewKernels(nil, 0, NewCache(1<<30, nil))
@@ -294,38 +300,42 @@ func TestKernelsAllocsPerRun(t *testing.T) {
 }
 
 // TestKernelsIntersectFaultParity: partition.intersect fires once per
-// product whether the product runs serially, sharded, or as a batch job.
+// product, whether IntersectAll runs one job or a batch, on one worker
+// or on several.
 func TestKernelsIntersectFaultParity(t *testing.T) {
 	ctx := context.Background()
 	r := dataset.Random(rand.New(rand.NewSource(5)), 300, 3, 3)
 	pa := Single(r.Cols[0], r.Cards[0])
 	pb := Single(r.Cols[1], r.Cards[1])
-	probe := NewProbeTable(pb)
 	defer faults.Reset()
 	for _, workers := range []int{1, 3} {
 		k := NewKernels(engine.NewPool(workers), 8, nil)
-		calls := []func() error{
-			func() error { _, err := k.Intersect(ctx, pa, probe); return err },
-			func() error {
-				_, err := k.IntersectAll(ctx, []IntersectJob{{Left: pb, Right: pa}})
-				return err
+		batches := [][]IntersectJob{
+			{{Part: pa, Col: r.Cols[1], Card: r.Cards[1]}},
+			{
+				{Part: pa, Col: r.Cols[2], Card: r.Cards[2]},
+				{Part: pb, Col: r.Cols[0], Card: r.Cards[0]},
+				{Part: pb, Col: r.Cols[2], Card: r.Cards[2]},
 			},
 		}
-		for i, call := range calls {
-			name := fmt.Sprintf("workers=%d call %d", workers, i)
-			faults.Arm(faults.PartitionIntersect, faults.Plan{Kind: faults.KindError, N: 2, Class: faults.ClassTransient})
+		for i, jobs := range batches {
+			name := fmt.Sprintf("workers=%d batch %d", workers, i)
+			call := func() error { _, err := k.IntersectAll(ctx, jobs); return err }
+			// Armed to fire on hit len(jobs)+1: the first batch must
+			// pass, the second must reach it.
+			faults.Arm(faults.PartitionIntersect, faults.Plan{Kind: faults.KindError, N: len(jobs) + 1, Class: faults.ClassTransient})
 			if err := call(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if !faults.Armed(faults.PartitionIntersect) {
-				t.Fatalf("%s: one product hit partition.intersect twice", name)
+				t.Fatalf("%s: a batch hit partition.intersect more than once per job", name)
 			}
 			err := func() (err error) {
 				defer engine.Recover("test", &err)
 				return call()
 			}()
 			if !errors.Is(err, faults.ErrInjected) || faults.Armed(faults.PartitionIntersect) {
-				t.Fatalf("%s: second product did not hit the site (err %v)", name, err)
+				t.Fatalf("%s: second batch did not hit the site (err %v)", name, err)
 			}
 		}
 	}

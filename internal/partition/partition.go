@@ -13,23 +13,24 @@
 //   - Single: build π_A for one attribute from dictionary codes,
 //   - refinement π_X ⇒ π_XA one cluster at a time (Algorithm 5), used by
 //     the DDM and by FD validation (Refiner.RefineClusterInto),
-//   - intersection π_X ∩ π_Y ⇒ π_XY via probe tables, used by TANE's
-//     level-wise prefix-block joins.
+//   - the product π_PA ∩ π_PB ⇒ π_PAB of TANE's level-wise prefix-block
+//     joins, computed as a one-column refinement of the smaller parent:
+//     π_PAB is π_PA refined by column B, and also π_PB refined by A.
 //
 // Kernels (kernels.go) is the one surface the drivers call them through:
 // it owns per-worker scratch and a worker pool, runs a kernel serially or
 // sharded across the pool, fans batches of jobs out over the pool, and
 // walks the PLI Cache (cache.go) to materialize π_X for an attribute set.
 //
-// Every partition the kernels produce is in compact form: all cluster
-// rows live in one backing array and Clusters are zero-copy views into
-// it, so a partition costs a handful of allocations regardless of its
-// cluster count. The refinement and intersection kernels keep flat
-// sets-array-plus-touched-list scratch across calls, so a warm kernel
-// allocates only its output.
+// Every partition is headerless: all cluster rows live in one backing
+// array with one offset per cluster end, so a partition costs three
+// allocations regardless of its cluster count. The refinement kernel keeps
+// flat sets-array-plus-touched-list scratch and an output buffer across
+// calls, so a warm kernel allocates only its exact-size output.
 package partition
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -38,49 +39,48 @@ import (
 
 // Partition is a stripped partition: clusters of row indexes, each of size
 // at least two. The zero value is the empty partition.
+//
+// A partition is headerless: all cluster rows live in one backing array,
+// cluster by cluster, and offsets marks where each cluster ends. It holds
+// no per-cluster slice headers, so it costs three allocations whatever its
+// cluster count and carries only two pointers for the GC to scan. Callers
+// walk it with Card and Cluster, and cut it into index ranges.
 type Partition struct {
-	// Clusters holds row-index clusters, each with len >= 2. In compact
-	// form every cluster is a zero-copy view into one backing array.
-	Clusters [][]int32
 	// NRows is the number of rows of the underlying relation.
 	NRows int
 
-	// backing and offsets are the compact form: cluster i is
-	// backing[offsets[i]:offsets[i+1]] and Clusters aliases those ranges.
-	// Nil for partitions assembled cluster by cluster.
+	// backing holds every cluster row. Cluster i is
+	// backing[offsets[i]:offsets[i+1]]: offsets has one more entry than
+	// there are clusters, offsets[0] == 0 and the last entry is
+	// len(backing). Both are nil in the zero value.
 	backing []int32
 	offsets []int32
 }
 
-// IsCompact reports whether the partition is in compact form: one backing
-// array holding every cluster row, Clusters aliasing it.
-func (p *Partition) IsCompact() bool { return p.offsets != nil }
-
-// setCompact installs backing/offsets and builds the zero-copy cluster
-// views. offsets must have one more entry than there are clusters, with
-// offsets[0] == 0 and offsets[len-1] == len(backing).
-func (p *Partition) setCompact(backing, offsets []int32) {
-	p.backing, p.offsets = backing, offsets
-	p.Clusters = make([][]int32, len(offsets)-1)
-	for i := range p.Clusters {
-		p.Clusters[i] = backing[offsets[i]:offsets[i+1]:offsets[i+1]]
-	}
+// newPartition wraps a backing array and its cluster-end offsets.
+func newPartition(nrows int, backing, offsets []int32) *Partition {
+	return &Partition{NRows: nrows, backing: backing, offsets: offsets}
 }
 
 // Card returns |π|, the number of clusters.
-func (p *Partition) Card() int { return len(p.Clusters) }
+func (p *Partition) Card() int {
+	if len(p.offsets) == 0 {
+		return 0
+	}
+	return len(p.offsets) - 1
+}
+
+// Cluster returns the rows of cluster i, 0 <= i < Card(), as a view into
+// the partition's backing: it allocates nothing, and its capacity ends
+// with the cluster, so appending to it cannot clobber the next one.
+// Treat it as read-only.
+func (p *Partition) Cluster(i int) []int32 {
+	lo, hi := p.offsets[i], p.offsets[i+1]
+	return p.backing[lo:hi:hi]
+}
 
 // Size returns ‖π‖, the total number of rows inside clusters.
-func (p *Partition) Size() int {
-	if p.backing != nil {
-		return len(p.backing)
-	}
-	n := 0
-	for _, c := range p.Clusters {
-		n += len(c)
-	}
-	return n
-}
+func (p *Partition) Size() int { return len(p.backing) }
 
 // Error returns e(π) = ‖π‖ − |π|, the minimum number of rows to remove so
 // that the partitioning attributes form a key.
@@ -88,24 +88,23 @@ func (p *Partition) Error() int { return p.Size() - p.Card() }
 
 // IsUnique reports whether the partition has no cluster, i.e. the
 // partitioning attribute set is a key (all classes are singletons).
-func (p *Partition) IsUnique() bool { return len(p.Clusters) == 0 }
+func (p *Partition) IsUnique() bool { return p.Card() == 0 }
 
-// Clone returns a deep copy (in compact form).
+// Identical reports whether p and o have the same row count and the same
+// layout: the same clusters in the same order, rows in the same order.
+// The kernels' byte-identity checks compare with it.
+func (p *Partition) Identical(o *Partition) bool {
+	return p.NRows == o.NRows && p.Card() == o.Card() &&
+		slices.Equal(p.backing, o.backing) && (p.Card() == 0 || slices.Equal(p.offsets, o.offsets))
+}
+
+// Clone returns a deep copy.
 func (p *Partition) Clone() *Partition {
-	c := &Partition{NRows: p.NRows}
-	backing := make([]int32, 0, p.Size())
-	offsets := make([]int32, 1, len(p.Clusters)+1)
-	for _, cl := range p.Clusters {
-		backing = append(backing, cl...)
-		offsets = append(offsets, int32(len(backing)))
-	}
-	c.setCompact(backing, offsets)
-	return c
+	return newPartition(p.NRows, exact(p.backing), exact(p.offsets))
 }
 
 // Single builds the stripped partition of one dictionary-encoded column.
 // card must be at least 1 + max(col); rows with unique codes are stripped.
-// The result is in compact form.
 //
 //fd:hotpath
 func Single(col []int32, card int) *Partition {
@@ -144,9 +143,7 @@ func Single(col []int32, card int) *Partition {
 			offsets = append(offsets, off+counts[v])
 		}
 	}
-	p := &Partition{NRows: len(col)}
-	p.setCompact(backing, offsets)
-	return p
+	return newPartition(len(col), backing, offsets)
 }
 
 // Refiner refines partitions one cluster at a time (Algorithm 5 of the
@@ -155,7 +152,8 @@ func Single(col []int32, card int) *Partition {
 type Refiner struct {
 	buckets [][]int32 // indexed by dictionary code
 	touched []int32   // codes used by the current cluster
-	offsets []int32   // scratch for refine's output offsets, copied out exact-size
+	backing []int32   // refine's output rows, copied out exact-size
+	offsets []int32   // refine's output offsets, copied out exact-size
 	// The pad keeps two workers' Refiners, allocated side by side, off
 	// one cache line: the headers above are rewritten per cluster, and
 	// that false sharing cost about a third of two-worker DDM refreshes.
@@ -206,36 +204,53 @@ func (rf *Refiner) RefineClusterInto(cluster []int32, col []int32, card int, are
 }
 
 // refine computes π_XA from π_X by splitting every cluster on column col.
-// The result is in compact form: sub-clusters are laid into one backing
-// array instead of being copied out one allocation each. It is the
-// serial kernel behind Kernels.Refine and Kernels.RefineAll.
+// It is the one product kernel: Kernels.Refine, RefineAll and IntersectAll
+// all run it. The output is laid into the Refiner's scratch and copied out
+// at exact size, so a warm refine allocates its partition, backing and
+// offsets and nothing else, and the result holds no spare capacity.
 //
 //fd:hotpath
 func (rf *Refiner) refine(p *Partition, col []int32, card int) *Partition {
 	rf.grow(card)
-	out := &Partition{NRows: p.NRows}
-	backing := make([]int32, 0, p.Size())
-	rf.offsets = append(rf.offsets[:0], 0)
-	backing, rf.offsets = rf.refineRange(p.Clusters, col, backing, rf.offsets)
-	// Like intersect, the partition keeps an exact-size copy of the
-	// offsets scratch, so a warm refine allocates only its output.
-	out.setCompact(backing, append([]int32(nil), rf.offsets...))
+	if cap(rf.backing) < p.Size() {
+		rf.backing = make([]int32, 0, p.Size())
+	}
+	rf.backing, rf.offsets = rf.refineRange(p, 0, p.Card(), col, rf.backing[:0], append(rf.offsets[:0], 0))
+	return newPartition(p.NRows, exact(rf.backing), exact(rf.offsets))
+}
+
+// exact returns a copy of s with no spare capacity.
+func exact(s []int32) []int32 {
+	out := make([]int32, len(s))
+	copy(out, s)
 	return out
 }
 
-// refineRange is refine's cluster-range kernel: it splits each cluster
-// by the codes of col, appending surviving sub-cluster rows to backing
-// and each sub-cluster's end position to ends, and returns the grown
-// slices. Serial refine runs it over all clusters with a leading 0
+// refineRange is refine's cluster-range kernel: it splits clusters
+// [lo, hi) of p by the codes of col, appending surviving sub-cluster rows
+// to backing and each sub-cluster's end position to ends, and returns the
+// grown slices. Serial refine runs it over all clusters with a leading 0
 // already in ends; the sharded kernel runs it per contiguous cluster
 // range with empty local slices, so concatenating the per-range outputs
 // in range order reproduces the serial layout bit for bit. The caller
 // owns the card-sized scratch (rf.grow).
 //
+// Most clusters deep in a lattice are pairs, and a pair survives iff
+// both rows share a code: that test emits exactly the rows, in exactly
+// the order, the bucket pass would.
+//
 //fd:hotpath
 //fd:shardkernel
-func (rf *Refiner) refineRange(clusters [][]int32, col []int32, backing, ends []int32) ([]int32, []int32) {
-	for _, cluster := range clusters {
+func (rf *Refiner) refineRange(p *Partition, lo, hi int, col []int32, backing, ends []int32) ([]int32, []int32) {
+	for i := lo; i < hi; i++ {
+		cluster := p.backing[p.offsets[i]:p.offsets[i+1]]
+		if len(cluster) == 2 {
+			if r0, r1 := cluster[0], cluster[1]; col[r0] == col[r1] {
+				backing = append(backing, r0, r1)
+				ends = append(ends, int32(len(backing)))
+			}
+			continue
+		}
 		for _, row := range cluster {
 			v := col[row]
 			if len(rf.buckets[v]) == 0 {
@@ -251,142 +266,6 @@ func (rf *Refiner) refineRange(clusters [][]int32, col []int32, backing, ends []
 			rf.buckets[v] = rf.buckets[v][:0]
 		}
 		rf.touched = rf.touched[:0]
-	}
-	return backing, ends
-}
-
-// ProbeTable is an inverted index of a partition: row → cluster id, with -1
-// for stripped (singleton) rows. TANE's intersection and HyFD's validation
-// both probe it.
-type ProbeTable []int32
-
-// NewProbeTable builds the inverted index of p.
-func NewProbeTable(p *Partition) ProbeTable {
-	return ProbeTable(nil).Fill(p)
-}
-
-// Fill rebuilds t as the inverted index of p, reusing t's storage when it
-// is large enough, and returns the (possibly grown) table. Workers that
-// probe many partitions of the same relation keep one table alive instead
-// of allocating NRows int32s per intersection.
-//
-//fd:hotpath
-func (t ProbeTable) Fill(p *Partition) ProbeTable {
-	if cap(t) < p.NRows {
-		t = make(ProbeTable, p.NRows)
-	}
-	t = t[:p.NRows]
-	for i := range t {
-		t[i] = -1
-	}
-	for id, cluster := range p.Clusters {
-		for _, row := range cluster {
-			t[row] = int32(id)
-		}
-	}
-	return t
-}
-
-// intersector computes PLI intersections with flat reusable scratch: a
-// counts array indexed by probe-side cluster id plus a touched-id list
-// (the trick Refiner uses for dictionary codes), so one intersection costs
-// its output allocations and no map. One intersector serves one
-// goroutine; Kernels keeps one per pool worker.
-type intersector struct {
-	counts  []int32  // per probe-side cluster id: rows of the current cluster
-	starts  []int32  // per probe-side cluster id: write cursor, -1 = stripped
-	touched []int32  // ids used by the current cluster
-	offsets []int32  // scratch for the output offsets, copied out exact-size
-	_       [64]byte // keeps workers' intersectors off one cache line, as in Refiner
-}
-
-func (ix *intersector) growID(id int32) {
-	if int(id) < len(ix.counts) {
-		return
-	}
-	n := len(ix.counts) * 2
-	if n <= int(id) {
-		n = int(id) + 1
-	}
-	counts := make([]int32, n)
-	copy(counts, ix.counts)
-	ix.counts = counts
-	starts := make([]int32, n)
-	copy(starts, ix.starts)
-	ix.starts = starts
-}
-
-// intersect computes π_XY from π_X and a probe table of π_Y: rows of each
-// X-cluster are grouped by their Y-cluster id, dropping rows singleton in
-// Y (probe -1) and groups of fewer than two rows. The result is in compact
-// form. It is the serial kernel behind Kernels.Intersect and
-// Kernels.IntersectAll, which fire the partition.intersect fault site.
-//
-//fd:hotpath
-func (ix *intersector) intersect(p *Partition, probe ProbeTable) *Partition {
-	out := &Partition{NRows: p.NRows}
-	backing := make([]int32, 0, p.Size())
-	ix.offsets = append(ix.offsets[:0], 0)
-	backing, ix.offsets = ix.intersectRange(p.Clusters, probe, backing, ix.offsets)
-	// The offsets scratch is reused next call; the partition keeps an
-	// exact-size copy, so per-call growth amortizes away entirely.
-	out.setCompact(backing, append([]int32(nil), ix.offsets...))
-	return out
-}
-
-// intersectRange is intersect's cluster-range kernel: rows of each
-// cluster are grouped by their probe-side cluster id in two passes —
-// count per id, then place rows at the reserved group offsets —
-// appending surviving groups to backing and each group's end position
-// to ends, and returning the grown slices. Serial intersect runs it
-// over all clusters with a leading 0 already in ends; the sharded
-// kernel runs it per contiguous cluster range with empty local slices,
-// so concatenating per-range outputs in range order reproduces the
-// serial layout bit for bit. backing must have capacity for every row
-// of the ranged clusters.
-//
-//fd:hotpath
-//fd:shardkernel
-func (ix *intersector) intersectRange(clusters [][]int32, probe ProbeTable, backing, ends []int32) ([]int32, []int32) {
-	for _, cluster := range clusters {
-		for _, row := range cluster {
-			id := probe[row]
-			if id < 0 {
-				continue
-			}
-			ix.growID(id)
-			if ix.counts[id] == 0 {
-				ix.touched = append(ix.touched, id)
-			}
-			ix.counts[id]++
-		}
-		// Reserve one contiguous range per surviving group.
-		base := int32(len(backing))
-		total := int32(0)
-		for _, id := range ix.touched {
-			if ix.counts[id] >= 2 {
-				ix.starts[id] = base + total
-				total += ix.counts[id]
-				ends = append(ends, base+total)
-			} else {
-				ix.starts[id] = -1
-			}
-		}
-		backing = backing[:int(base+total)]
-		for _, row := range cluster {
-			id := probe[row]
-			if id < 0 {
-				continue
-			}
-			if s := ix.starts[id]; s >= 0 {
-				backing[s] = row
-				ix.starts[id] = s + 1
-			}
-		}
-		for _, id := range ix.touched {
-			ix.counts[id] = 0
-		}
-		ix.touched = ix.touched[:0]
 	}
 	return backing, ends
 }
@@ -407,16 +286,8 @@ func (p *Partition) Members(dst bitset.Bitmap) bitset.Bitmap {
 		dst = dst[:words]
 		dst.Clear()
 	}
-	if p.backing != nil {
-		for _, row := range p.backing {
-			dst.Set(int(row))
-		}
-		return dst
-	}
-	for _, cluster := range p.Clusters {
-		for _, row := range cluster {
-			dst.Set(int(row))
-		}
+	for _, row := range p.backing {
+		dst.Set(int(row))
 	}
 	return dst
 }
@@ -439,8 +310,8 @@ func orderForRefine(attrs []int, cards []int, nrows int) {
 	})
 }
 
-// fullPartition returns π_∅: one cluster of all rows (empty under 2 rows).
-func fullPartition(nrows int) *Partition {
+// Full returns π_∅: one cluster of all rows (empty under 2 rows).
+func Full(nrows int) *Partition {
 	if nrows < 2 {
 		return &Partition{NRows: nrows}
 	}
@@ -448,49 +319,37 @@ func fullPartition(nrows int) *Partition {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	p := &Partition{NRows: nrows}
-	p.setCompact(all, []int32{0, int32(nrows)})
-	return p
+	return newPartition(nrows, all, []int32{0, int32(nrows)})
 }
 
 // SortClusters orders clusters by ascending first row, and rows within each
-// cluster ascending. Useful for deterministic comparisons in tests. It
-// copies compact clusters out of their shared backing first, so sorting
-// never mutates a partition aliased elsewhere (a cache, another view).
+// cluster ascending. Useful for deterministic comparisons in tests. It lays
+// the sorted clusters into a fresh backing, so sorting never mutates a
+// partition aliased elsewhere (a cache, a spill mapping).
 func (p *Partition) SortClusters() {
-	if p.backing != nil {
-		clusters := make([][]int32, len(p.Clusters))
-		for i, c := range p.Clusters {
-			clusters[i] = append([]int32(nil), c...)
-		}
-		p.Clusters, p.backing, p.offsets = clusters, nil, nil
+	clusters := make([][]int32, p.Card())
+	for i := range clusters {
+		c := slices.Clone(p.Cluster(i))
+		slices.Sort(c)
+		clusters[i] = c
 	}
-	for _, c := range p.Clusters {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i][0] < clusters[j][0] })
+	backing := make([]int32, 0, p.Size())
+	offsets := make([]int32, 1, len(clusters)+1)
+	for _, c := range clusters {
+		backing = append(backing, c...)
+		offsets = append(offsets, int32(len(backing)))
 	}
-	sort.Slice(p.Clusters, func(i, j int) bool {
-		return p.Clusters[i][0] < p.Clusters[j][0]
-	})
+	p.backing, p.offsets = backing, offsets
 }
 
 // Equal reports whether two partitions contain the same clusters,
 // disregarding order. Both partitions are sorted as a side effect.
 func (p *Partition) Equal(o *Partition) bool {
-	if p.NRows != o.NRows || len(p.Clusters) != len(o.Clusters) {
+	if p.NRows != o.NRows || p.Card() != o.Card() || p.Size() != o.Size() {
 		return false
 	}
 	p.SortClusters()
 	o.SortClusters()
-	for i := range p.Clusters {
-		a, b := p.Clusters[i], o.Clusters[i]
-		if len(a) != len(b) {
-			return false
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return p.Identical(o)
 }

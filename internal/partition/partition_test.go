@@ -1,21 +1,48 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitset"
 )
 
+// clustersOf copies p's clusters out, in layout order.
+func clustersOf(p *Partition) [][]int32 {
+	out := make([][]int32, p.Card())
+	for i := range out {
+		out[i] = slices.Clone(p.Cluster(i))
+	}
+	return out
+}
+
+// sortedClusters is clustersOf after SortClusters.
+func sortedClusters(p *Partition) [][]int32 {
+	p.SortClusters()
+	return clustersOf(p)
+}
+
+// fromClusters lays literal clusters into a partition.
+func fromClusters(nrows int, clusters [][]int32) *Partition {
+	backing := []int32{}
+	offsets := []int32{0}
+	for _, c := range clusters {
+		backing = append(backing, c...)
+		offsets = append(offsets, int32(len(backing)))
+	}
+	return newPartition(nrows, backing, offsets)
+}
+
 func TestSingleStripsSingletons(t *testing.T) {
 	// codes: 0,1,0,2,1,3 -> clusters {0,2} and {1,4}; 2 and 3 stripped.
 	p := Single([]int32{0, 1, 0, 2, 1, 3}, 4)
-	p.SortClusters()
 	want := [][]int32{{0, 2}, {1, 4}}
-	if !reflect.DeepEqual(p.Clusters, want) {
-		t.Errorf("clusters = %v, want %v", p.Clusters, want)
+	if got := sortedClusters(p); !reflect.DeepEqual(got, want) {
+		t.Errorf("clusters = %v, want %v", got, want)
 	}
 	if p.Card() != 2 || p.Size() != 4 || p.Error() != 2 {
 		t.Errorf("card/size/error = %d/%d/%d", p.Card(), p.Size(), p.Error())
@@ -45,10 +72,9 @@ func TestRefineSplitsClusters(t *testing.T) {
 	b := []int32{0, 1, 0, 1, 2, 2}
 	pa := Single(a, 1)
 	pab := refineRef(pa, b, 3)
-	pab.SortClusters()
 	want := [][]int32{{0, 2}, {1, 3}, {4, 5}}
-	if !reflect.DeepEqual(pab.Clusters, want) {
-		t.Errorf("refined = %v, want %v", pab.Clusters, want)
+	if got := sortedClusters(pab); !reflect.DeepEqual(got, want) {
+		t.Errorf("refined = %v, want %v", got, want)
 	}
 }
 
@@ -56,9 +82,8 @@ func TestRefineDropsNewSingletons(t *testing.T) {
 	a := []int32{0, 0, 0}
 	b := []int32{0, 0, 1}
 	pab := refineRef(Single(a, 1), b, 2)
-	pab.SortClusters()
-	if !reflect.DeepEqual(pab.Clusters, [][]int32{{0, 1}}) {
-		t.Errorf("refined = %v", pab.Clusters)
+	if got := sortedClusters(pab); !reflect.DeepEqual(got, [][]int32{{0, 1}}) {
+		t.Errorf("refined = %v", got)
 	}
 }
 
@@ -77,7 +102,38 @@ func TestRefinerReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// productRef groups rows by their codes on every column, keeping groups
+// of two or more: π over those columns, computed without any kernel.
+func productRef(nrows int, cols ...[]int32) *Partition {
+	groups := map[string][]int32{}
+	var order []string
+	key := make([]byte, 0, 4*len(cols))
+	for row := 0; row < nrows; row++ {
+		key = key[:0]
+		for _, col := range cols {
+			v := col[row]
+			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+		k := string(key)
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], int32(row))
+	}
+	var clusters [][]int32
+	for _, k := range order {
+		if len(groups[k]) >= 2 {
+			clusters = append(clusters, groups[k])
+		}
+	}
+	return fromClusters(nrows, clusters)
+}
+
+// TestIntersectMatchesRefine: the PLI product π_a ∩ π_b, computed by
+// IntersectAll from either parent, equals the rows grouped on (a, b).
 func TestIntersectMatchesRefine(t *testing.T) {
+	ctx := context.Background()
+	k := NewKernels(nil, 0, nil)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(60)
@@ -89,10 +145,14 @@ func TestIntersectMatchesRefine(t *testing.T) {
 			b[i] = int32(rng.Intn(cb))
 		}
 		pa, pb := Single(a, ca), Single(b, cb)
-		viaIntersect := intersectRef(pa, NewProbeTable(pb))
-		viaRefine := refineRef(pa, b, cb)
-		if !viaIntersect.Equal(viaRefine) {
-			t.Fatalf("trial %d: intersect %v != refine %v", trial, viaIntersect.Clusters, viaRefine.Clusters)
+		got, err := k.IntersectAll(ctx, []IntersectJob{{Part: pa, Col: b, Card: cb}, {Part: pb, Col: a, Card: ca}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for side, p := range got {
+			if want := productRef(n, a, b); !p.Equal(want) {
+				t.Fatalf("trial %d side %d: product %v != grouped %v", trial, side, clustersOf(p), clustersOf(want))
+			}
 		}
 	}
 }
@@ -106,7 +166,7 @@ func TestForAttrsEmptySet(t *testing.T) {
 	// A 1-row relation has no pair, so π_∅ is empty.
 	p1 := forAttrs(bitset.New(1), [][]int32{{0}}, []int{1})
 	if p1.Card() != 0 {
-		t.Errorf("π_∅ on single row: %v", p1.Clusters)
+		t.Errorf("π_∅ on single row: %v", clustersOf(p1))
 	}
 }
 
@@ -114,28 +174,16 @@ func TestForAttrsMultiAttr(t *testing.T) {
 	// Rows: (0,0) (0,1) (0,0) (1,0) -> π_{a,b} = {{0,2}}.
 	cols := [][]int32{{0, 0, 0, 1}, {0, 1, 0, 0}}
 	p := forAttrs(bitset.FromAttrs(2, 0, 1), cols, []int{2, 2})
-	p.SortClusters()
-	if !reflect.DeepEqual(p.Clusters, [][]int32{{0, 2}}) {
-		t.Errorf("π_ab = %v", p.Clusters)
-	}
-}
-
-func TestProbeTable(t *testing.T) {
-	p := Single([]int32{0, 1, 0, 2}, 3)
-	probe := NewProbeTable(p)
-	if probe[0] != probe[2] || probe[0] < 0 {
-		t.Errorf("rows 0,2 should share a cluster: %v", probe)
-	}
-	if probe[1] != -1 || probe[3] != -1 {
-		t.Errorf("singleton rows should be -1: %v", probe)
+	if got := sortedClusters(p); !reflect.DeepEqual(got, [][]int32{{0, 2}}) {
+		t.Errorf("π_ab = %v", got)
 	}
 }
 
 func TestClone(t *testing.T) {
 	p := Single([]int32{0, 0, 1, 1}, 2)
 	c := p.Clone()
-	c.Clusters[0][0] = 99
-	if p.Clusters[0][0] == 99 {
+	c.Cluster(0)[0] = 99
+	if p.Cluster(0)[0] == 99 {
 		t.Error("Clone shares backing array")
 	}
 }
@@ -209,7 +257,7 @@ func TestQuickClusterInvariants(t *testing.T) {
 		}
 		p := Single(col, 8)
 		seen := map[int32]bool{}
-		for _, cluster := range p.Clusters {
+		for _, cluster := range clustersOf(p) {
 			if len(cluster) < 2 {
 				return false
 			}

@@ -146,9 +146,7 @@ func (sb *shardBuilder) build(ctx context.Context, pool *engine.Pool, col []int3
 			offsets = append(offsets, off+gcounts[v])
 		}
 	}
-	p := &Partition{NRows: sb.nrows}
-	p.setCompact(backing, offsets)
-	return p, nil
+	return newPartition(sb.nrows, backing, offsets), nil
 }
 
 // shardGroup counting-sorts one shard: rows [lo, hi) of col are grouped
@@ -191,7 +189,7 @@ func shardGroup(col []int32, lo, hi int, counts, touched []int32) (codes, cnts, 
 	return codes, cnts, rows, touched[:0]
 }
 
-// shardScatter copies one shard's grouped rows into the shared compact
+// shardScatter copies one shard's grouped rows into the shared
 // backing: group i of the shard lands at starts[codes[i]] + offs[i],
 // its cluster's base plus the rows earlier shards contributed. Groups
 // whose code is globally stripped (starts -1) are skipped.

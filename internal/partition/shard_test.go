@@ -43,9 +43,8 @@ func assertSameCompact(t *testing.T, name string, shardSize, col int, want, got 
 	if got == nil {
 		t.Fatalf("%s shard=%d col %d: nil partition", name, shardSize, col)
 	}
-	if got.NRows != want.NRows || !got.IsCompact() {
-		t.Fatalf("%s shard=%d col %d: NRows=%d compact=%v, want NRows=%d compact",
-			name, shardSize, col, got.NRows, got.IsCompact(), want.NRows)
+	if got.NRows != want.NRows {
+		t.Fatalf("%s shard=%d col %d: NRows=%d, want %d", name, shardSize, col, got.NRows, want.NRows)
 	}
 	if len(got.backing) != len(want.backing) || len(got.offsets) != len(want.offsets) {
 		t.Fatalf("%s shard=%d col %d: backing/offsets len %d/%d, want %d/%d",

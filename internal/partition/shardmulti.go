@@ -8,56 +8,45 @@ import (
 )
 
 // This file extends the 3-phase shard-merge scheme of the sharded
-// single-attribute builder (shard.go) to the multi-attribute kernels:
-// Kernels.Refine and Kernels.Intersect, on a pool wider than one
-// worker, split the parent partition's clusters row-wise into
-// ~shardSize-row contiguous cluster ranges, run the counting/probe
-// phase per range on pool workers with per-worker scratch, then stitch
-// the per-range outputs into one compact backing by prefix offset.
-// Because both serial kernels process clusters independently and append
-// their output in cluster order, concatenating the per-range outputs in
-// range order reproduces the serial layout — backing and offsets — bit
-// for bit, at every shard size.
+// single-attribute builder (shard.go) to refinement: Kernels.Refine, on a
+// pool wider than one worker, splits the parent partition's clusters
+// row-wise into ~shardSize-row contiguous cluster ranges, refines each
+// range on a pool worker with that worker's Refiner, then stitches the
+// per-range outputs into one backing by prefix offset. Because the
+// serial kernel processes clusters independently and appends its output
+// in cluster order, concatenating the per-range outputs in range order
+// reproduces the serial layout — backing and offsets — bit for bit, at
+// every shard size.
 
-// ShardClusters splits clusters into contiguous ranges holding at least
-// size rows each (the last range may be smaller; a single oversized
-// cluster forms its own range; size <= 0 selects DefaultShardSize).
-// Returns the range boundaries as cluster indexes: range s is
-// clusters[cuts[s]:cuts[s+1]]. The sharded kernels, sampling and
-// verification passes all cut their per-shard work with it, so every
-// per-shard consumer of a partition agrees on the same row-balanced
-// decomposition.
-func ShardClusters(clusters [][]int32, size int) []int {
+// ShardClusters splits p's clusters into contiguous index ranges holding
+// at least size rows each (the last range may be smaller; a single
+// oversized cluster forms its own range; size <= 0 selects
+// DefaultShardSize). Returns the range boundaries as cluster indexes:
+// range s is clusters [cuts[s], cuts[s+1]). The sharded kernels,
+// sampling and verification passes all cut their per-shard work with it,
+// so every per-shard consumer of a partition agrees on the same
+// row-balanced decomposition.
+func ShardClusters(p *Partition, size int) []int {
 	if size <= 0 {
 		size = DefaultShardSize
 	}
-	cuts := make([]int, 1, len(clusters)/2+2)
-	rows := 0
-	for i, cl := range clusters {
-		rows += len(cl)
-		if rows >= size {
-			cuts = append(cuts, i+1)
-			rows = 0
+	n := p.Card()
+	cuts := make([]int, 1, n/2+2)
+	last := int32(0) // offset where the open range starts
+	for i := 1; i <= n; i++ {
+		if int(p.offsets[i]-last) >= size {
+			cuts = append(cuts, i)
+			last = p.offsets[i]
 		}
 	}
-	if cuts[len(cuts)-1] != len(clusters) {
-		cuts = append(cuts, len(clusters))
+	if cuts[len(cuts)-1] != n {
+		cuts = append(cuts, n)
 	}
 	return cuts
 }
 
-// rangeRows sums the rows of clusters[lo:hi], the capacity one shard's
-// local backing needs.
-func rangeRows(clusters [][]int32, lo, hi int) int {
-	rows := 0
-	for _, cl := range clusters[lo:hi] {
-		rows += len(cl)
-	}
-	return rows
-}
-
-// stitchShard lays one shard's local output into the shared compact
-// arrays: the local backing lands at its prefix base, and each local
+// stitchShard lays one shard's local output into the shared backing
+// and offsets: the local backing lands at its prefix base, and each local
 // cluster-end offset lands base-adjusted in the shard's reserved
 // offsets window. Writes are deterministic positions of deterministic
 // values, so a retried shard rewrites identical bytes.
@@ -71,32 +60,26 @@ func stitchShard(back, ends []int32, base int32, backing, offsets []int32) {
 	}
 }
 
-// shardRange is a serial kernel's cluster-range form (refineRange,
-// intersectRange) bound to its column or probe table: it processes
-// clusters with one worker's scratch, appending to the local backing
-// and ends it is handed.
-type shardRange func(s *kernelScratch, clusters [][]int32, backing, ends []int32) ([]int32, []int32)
-
-// sharded runs one multi-attribute kernel over p's clusters, already cut
-// into ~shardSize-row ranges: each range runs the kernel concurrently on
-// the pool with per-worker scratch, then the per-range outputs stitch by
-// prefix offset into one backing, byte-identical to the serial kernel.
-// Each shard's stitch costs one partition.refineshard fault-site hit. On
-// cancellation or an injected fault the error returns with no partial
-// partition.
-func (k *Kernels) sharded(ctx context.Context, p *Partition, cuts []int, run shardRange) (*Partition, error) {
-	// Phase 1: run the kernel over each cluster range into local
-	// backing/ends pairs. Re-running an item is safe: the kernel rebuilds
-	// the range's output from the immutable parent and leaves its worker
-	// scratch cleared.
+// sharded refines p by column col over its clusters, already cut into
+// ~shardSize-row ranges: each range refines concurrently on the pool with
+// per-worker scratch, then the per-range outputs stitch by prefix offset
+// into one backing, byte-identical to the serial kernel. Each shard's
+// stitch costs one partition.refineshard fault-site hit. On cancellation
+// or an injected fault the error returns with no partial partition.
+func (k *Kernels) sharded(ctx context.Context, p *Partition, cuts []int, col []int32, card int) (*Partition, error) {
+	// Phase 1: refine each cluster range into local backing/ends pairs.
+	// Re-running an item is safe: the kernel rebuilds the range's output
+	// from the immutable parent and leaves its worker scratch cleared.
 	nshards := len(cuts) - 1
 	backs := make([][]int32, nshards)
 	endss := make([][]int32, nshards)
 	err := k.pool.Run(ctx, nshards, func(w, s int) {
 		lo, hi := cuts[s], cuts[s+1]
-		backing := make([]int32, 0, rangeRows(p.Clusters, lo, hi))
+		rf := k.scratch[w]
+		rf.grow(card)
+		backing := make([]int32, 0, p.offsets[hi]-p.offsets[lo])
 		ends := make([]int32, 0, (hi-lo)*2)
-		backs[s], endss[s] = run(&k.scratch[w], p.Clusters[lo:hi], backing, ends)
+		backs[s], endss[s] = rf.refineRange(p, lo, hi, col, backing, ends)
 	})
 	if err != nil {
 		return nil, err
@@ -104,10 +87,10 @@ func (k *Kernels) sharded(ctx context.Context, p *Partition, cuts []int, run sha
 	return stitchSharded(ctx, k.pool, p.NRows, backs, endss)
 }
 
-// stitchSharded runs phases 2 and 3 shared by the sharded
-// multi-attribute kernels: a sequential prefix pass assigning every
-// shard its backing base and offsets window, then a parallel stitch of
-// the local outputs into the shared compact arrays.
+// stitchSharded runs phases 2 and 3 of the sharded refinement: a
+// sequential prefix pass assigning every shard its backing base and
+// offsets window, then a parallel stitch of the local outputs into the
+// shared backing and offsets.
 func stitchSharded(ctx context.Context, pool *engine.Pool, nrows int, backs, endss [][]int32) (*Partition, error) {
 	nshards := len(backs)
 	// Phase 2: prefix offsets in shard order — rows of shard s precede
@@ -131,7 +114,5 @@ func stitchSharded(ctx context.Context, pool *engine.Pool, nrows int, backs, end
 		return nil, err
 	}
 	pool.CountShards(int64(nshards), int64(len(backing)))
-	out := &Partition{NRows: nrows}
-	out.setCompact(backing, offsets)
-	return out, nil
+	return newPartition(nrows, backing, offsets), nil
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/spillfile"
 )
 
-// The spill tier turns the cache into two levels: resident compact
+// The spill tier turns the cache into two levels: resident
 // partitions under the byte bound (and the budget's headroom), plus cold
 // entries whose flat backing lives in temp files under the spill
 // directory. Eviction pressure spills before it discards — a cold entry
@@ -19,8 +19,8 @@ import (
 // partition).
 //
 // Spill files are private to one cache and one process: they are written
-// and read in native byte order and removed by Close. Only compact
-// partitions spill — their whole cluster set is two flat arrays — and
+// and read in native byte order and removed by Close. A partition's
+// whole cluster set is two flat arrays, written as they are, and
 // re-spilling a reloaded entry reuses its file, since partition content
 // is immutable.
 
@@ -45,7 +45,7 @@ type spillState struct {
 
 // EnableSpill attaches an out-of-core tier to the cache: entries the
 // byte bound or the budget's headroom would evict (or reject) write
-// their compact backing to temp files under dir ("" selects the system
+// their backing and offsets to temp files under dir ("" selects the system
 // temp directory) and fault back in on their next hit. The cache owns a
 // private subdirectory; Close removes it. Enabling twice is an error,
 // as is enabling on a nil cache (there is nothing to spill through).
@@ -127,12 +127,8 @@ func (c *Cache) evict(e *cacheEntry) {
 // spillEntry writes e's partition out (reusing its file when it already
 // has one) and drops its residency: off the recency list, bytes back to
 // the bound and the budget. Callers hold mu. Returns false when the
-// partition cannot spill (non-compact, or the write failed), leaving e
-// untouched.
+// write failed, leaving e untouched.
 func (c *Cache) spillEntry(e *cacheEntry) bool {
-	if !e.part.IsCompact() {
-		return false
-	}
 	if e.spillPath == "" {
 		path, err := c.writeSpill(e.part)
 		if err != nil {
@@ -153,9 +149,6 @@ func (c *Cache) spillEntry(e *cacheEntry) bool {
 // directly into the cold tier: evict-to-disk instead of rejecting the
 // insert. Callers hold mu.
 func (c *Cache) insertSpilled(key string, e *cacheEntry) bool {
-	if !e.part.IsCompact() {
-		return false
-	}
 	path, err := c.writeSpill(e.part)
 	if err != nil {
 		return false
@@ -203,8 +196,8 @@ func (c *Cache) reload(e *cacheEntry) *Partition {
 	return p
 }
 
-// writeSpill encodes p's compact form into a fresh spill file. Callers
-// hold mu.
+// writeSpill encodes p's backing and offsets into a fresh spill file.
+// Callers hold mu.
 func (c *Cache) writeSpill(p *Partition) (string, error) {
 	c.spill.seq++
 	path := filepath.Join(c.spill.dir, fmt.Sprintf("p%06d.pli", c.spill.seq))
@@ -212,10 +205,14 @@ func (c *Cache) writeSpill(p *Partition) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	hdr := spillfile.EncodeHeader(p.NRows, len(p.offsets), len(p.backing))
+	offsets := p.offsets
+	if len(offsets) == 0 {
+		offsets = []int32{0} // the zero-value partition: no clusters
+	}
+	hdr := spillfile.EncodeHeader(p.NRows, len(offsets), len(p.backing))
 	_, err = f.Write(hdr[:])
 	if err == nil {
-		_, err = f.Write(spillfile.Int32Bytes(p.offsets))
+		_, err = f.Write(spillfile.Int32Bytes(offsets))
 	}
 	if err == nil {
 		_, err = f.Write(spillfile.Int32Bytes(p.backing))
@@ -230,7 +227,7 @@ func (c *Cache) writeSpill(p *Partition) (string, error) {
 	return path, nil
 }
 
-// readSpill decodes a spill file back into a compact partition. On
+// readSpill decodes a spill file back into a partition. On
 // platforms with mmap the returned partition aliases the returned
 // mapping (nil otherwise), which stays valid until Close unmaps it.
 // Once maxSpillMappings mappings are live the read lands on the heap
@@ -279,7 +276,5 @@ func (c *Cache) readSpill(path string) (*Partition, []byte, error) {
 			return fail("row out of range")
 		}
 	}
-	p := &Partition{NRows: nrows}
-	p.setCompact(backing, offsets)
-	return p, m, nil
+	return newPartition(nrows, backing, offsets), m, nil
 }

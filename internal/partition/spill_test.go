@@ -228,20 +228,22 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	}
 }
 
-func TestSpillNonCompactFallsBackToEviction(t *testing.T) {
-	// A partition assembled cluster by cluster has no flat backing to
-	// spill; pressure discards it like the spill-less cache would.
-	loose := &Partition{NRows: 8, Clusters: [][]int32{{0, 1, 2, 3}, {4, 5, 6, 7}}}
-	compact := spillPart(0, 8)
-	c := spillFixture(t, Cost(compact)+1, nil)
-	c.Put(bitset.FromAttrs(3, 0), loose)
-	c.Put(bitset.FromAttrs(3, 1), compact)
+func TestSpillWriteFailureFallsBackToEviction(t *testing.T) {
+	// A victim whose spill file cannot be written is discarded like the
+	// spill-less cache would discard it.
+	p0, p1 := spillPart(0, 8), spillPart(1, 8)
+	c := spillFixture(t, Cost(p0)+1, nil)
+	if err := os.RemoveAll(c.spill.dir); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(bitset.FromAttrs(3, 0), p0)
+	c.Put(bitset.FromAttrs(3, 1), p1)
 	s := c.Stats()
 	if s.Evictions != 1 || s.Spills != 0 {
-		t.Fatalf("stats = %+v, want 1 eviction (non-compact cannot spill)", s)
+		t.Fatalf("stats = %+v, want 1 eviction (the spill write failed)", s)
 	}
 	if c.Get(bitset.FromAttrs(3, 0)) != nil {
-		t.Fatal("non-compact entry should be gone")
+		t.Fatal("unspillable entry should be gone")
 	}
 }
 

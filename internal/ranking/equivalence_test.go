@@ -53,7 +53,7 @@ func (rk *seedRanker) fd(f dep.FD) Counts {
 	lhsAttrs := f.LHS.Attrs()
 	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		mask := rk.r.Nulls[a]
-		for _, cluster := range p.Clusters {
+		for _, cluster := range clustersOf(p) {
 			c.WithNulls += len(cluster)
 			if mask == nil {
 				c.NoNullRHS += len(cluster)
@@ -79,7 +79,7 @@ func (rk *seedRanker) fd(f dep.FD) Counts {
 	}
 	for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 		mask := rk.r.Nulls[a]
-		for _, cluster := range p.Clusters {
+		for _, cluster := range clustersOf(p) {
 			survivors := 0
 			nonNullA := 0
 			for _, row := range cluster {
@@ -135,7 +135,7 @@ func seedTotals(r *relation.Relation, fds []dep.FD) DatasetTotals {
 		p := rk.partitionFor(f.LHS)
 		for a := f.RHS.Next(0); a >= 0; a = f.RHS.Next(a + 1) {
 			base := a * rows
-			for _, cluster := range p.Clusters {
+			for _, cluster := range clustersOf(p) {
 				for _, row := range cluster {
 					marked[base+int(row)] = true
 				}
@@ -341,4 +341,13 @@ func TestHistogramGolden(t *testing.T) {
 			t.Errorf("case %d: Histogram = %v, seed %v", ci, got, want)
 		}
 	}
+}
+
+// clustersOf lists p's clusters as views into its backing.
+func clustersOf(p *partition.Partition) [][]int32 {
+	out := make([][]int32, p.Card())
+	for i := range out {
+		out[i] = p.Cluster(i)
+	}
+	return out
 }

@@ -168,7 +168,8 @@ func ClusterNeighborSample(r *relation.Relation, p *partition.Partition, distanc
 		distance = 1
 	}
 	buf := bitset.New(r.NumCols())
-	for _, cluster := range p.Clusters {
+	for i := 0; i < p.Card(); i++ {
+		cluster := p.Cluster(i)
 		if len(cluster) <= distance {
 			continue
 		}

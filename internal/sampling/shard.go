@@ -28,7 +28,7 @@ import (
 // single-worker) inputs degenerate to the serial pass. The returned
 // newNonFDs and comparisons counts equal the serial pass's exactly.
 func ClusterNeighborSampleSharded(ctx context.Context, pool *engine.Pool, r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet, shardSize int) (newNonFDs, comparisons int, err error) {
-	cuts := partition.ShardClusters(p.Clusters, shardSize)
+	cuts := partition.ShardClusters(p, shardSize)
 	nshards := len(cuts) - 1
 	if nshards <= 1 || pool == nil || pool.Workers() == 1 {
 		if err := ctx.Err(); err != nil {
@@ -132,7 +132,8 @@ func sampleShard(r *relation.Relation, p *partition.Partition, cuts []int, dista
 	local := NewNonFDSet(r.NumCols())
 	buf := bitset.New(r.NumCols())
 	n := 0
-	for _, cluster := range p.Clusters[cuts[s]:cuts[s+1]] {
+	for i := cuts[s]; i < cuts[s+1]; i++ {
+		cluster := p.Cluster(i)
 		if len(cluster) <= distance {
 			continue
 		}

@@ -2,13 +2,14 @@
 // Porkka and Toivonen — the column-based baseline of the paper.
 //
 // TANE traverses the attribute lattice level by level. Each level-ℓ
-// candidate X carries its stripped partition π_X (computed by intersecting
-// two level-(ℓ−1) parents) and the RHS-candidate set C+(X); the FD
+// candidate X carries its stripped partition π_X (the product of two
+// level-(ℓ−1) parents, computed by refining one by the other's last
+// attribute) and the RHS-candidate set C+(X); the FD
 // X∖{A} → A is valid iff the partition error e(X∖{A}) equals e(X).
 // Key pruning removes superkeys from the lattice after emitting the FDs
 // they certify.
 //
-// The PLI intersections of one level are independent, so level generation
+// The PLI products of one level are independent, so level generation
 // batches them through partition.Kernels.IntersectAll on the shared
 // engine pool; workers = 1 keeps the classic serial behaviour.
 //
@@ -61,7 +62,7 @@ func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
 
 // Config tunes TANE.
 type Config struct {
-	// Workers is the pool width for the per-level PLI intersections.
+	// Workers is the pool width for the per-level PLI products.
 	Workers int
 	// ShardSize is the row-block size of the sharded single-attribute
 	// partition bootstrap: columns longer than one shard group and merge
@@ -107,7 +108,7 @@ type Config struct {
 }
 
 // DiscoverRun runs TANE with the given worker-pool width for its PLI
-// intersections and emits the algorithm-agnostic run report. On
+// products and emits the algorithm-agnostic run report. On
 // cancellation the partial report (with Cancelled set) is returned
 // alongside ctx's error.
 func DiscoverRun(ctx context.Context, r *relation.Relation, workers int) ([]dep.FD, *engine.RunStats, error) {
@@ -188,14 +189,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	full := bitset.Full(n)
 
 	// Level 0 is the empty set: one cluster of all rows.
-	emptyPart := &partition.Partition{NRows: nrows}
-	if nrows >= 2 {
-		all := make([]int32, nrows)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		emptyPart.Clusters = [][]int32{all}
-	}
+	emptyPart := partition.Full(nrows)
 
 	// partitionForSet rebuilds π_X for a checkpointed attribute set through
 	// the cache, charging the budget as the cached path does.
@@ -496,7 +490,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, kern, level, curCPlus, n, rs, &cfg)
+		next, err := nextLevel(ctx, kern, r, level, curCPlus, rs, &cfg)
 		stop()
 		if err != nil {
 			return fail(err)
@@ -554,7 +548,7 @@ func keyFDMinimal(ctx context.Context, kern *partition.Kernels, r *relation.Rela
 		if err != nil {
 			return false, err
 		}
-		rs.PartitionsRefined += int64(len(pRest.Clusters))
+		rs.PartitionsRefined += int64(pRest.Card())
 		rs.RowsScanned += int64(pRest.Size())
 		if refined.Error() == prevErr[k] {
 			return false, nil // X∖{B} → A already valid
@@ -568,10 +562,13 @@ func keyFDMinimal(ctx context.Context, kern *partition.Kernels, r *relation.Rela
 // ℓ+1 subsets survive; C+ is the intersection of the subsets' C+ sets, and
 // the partition the product of the parents'. The pair scan is cheap and
 // serial; the PLI products — the level's hot path — run as one
-// Kernels.IntersectAll over the worker pool. Candidates whose π_X the
+// Kernels.IntersectAll over the worker pool. The product of π_PA and π_PB
+// is either parent refined by the other's last attribute, so each job
+// refines the parent with the smaller ‖π‖. Candidates whose π_X the
 // shared cache already holds skip the product entirely; fresh products are
 // published to the cache for later levels, verification and other runs.
-func nextLevel(ctx context.Context, kern *partition.Kernels, level []*candidate, curCPlus map[string]bitset.Set, n int, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+func nextLevel(ctx context.Context, kern *partition.Kernels, r *relation.Relation, level []*candidate, curCPlus map[string]bitset.Set, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+	n := r.NumCols()
 	alive := level[:0:0]
 	for _, c := range level {
 		if !c.dead {
@@ -618,7 +615,11 @@ func nextLevel(ctx context.Context, kern *partition.Kernels, level []*candidate,
 				c.err = p.Error()
 				cfg.Budget.ChargeBytes(partition.Cost(p))
 			} else {
-				jobs = append(jobs, partition.IntersectJob{Left: a.part, Right: b.part})
+				part, col := a.part, b.attrs[len(b.attrs)-1]
+				if b.part.Size() < a.part.Size() {
+					part, col = b.part, a.attrs[len(a.attrs)-1]
+				}
+				jobs = append(jobs, partition.IntersectJob{Part: part, Col: r.Cols[col], Card: r.Cards[col]})
 				jobFor = append(jobFor, len(next))
 			}
 			next = append(next, c)
@@ -632,7 +633,7 @@ func nextLevel(ctx context.Context, kern *partition.Kernels, level []*candidate,
 		c := next[jobFor[k]]
 		c.part = p
 		c.err = p.Error()
-		rs.RowsScanned += int64(jobs[k].Left.Size())
+		rs.RowsScanned += int64(jobs[k].Part.Size())
 		cfg.Budget.Charge(p)
 		cfg.Cache.Put(c.set, p)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/brute"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -151,5 +152,42 @@ func TestDiscoverWideLattice(t *testing.T) {
 	if !dep.Equal(got, want) {
 		a, bb := dep.Diff(got, want, r.Names)
 		t.Fatalf("only tane %v, only brute %v", a, bb)
+	}
+}
+
+// TestAgainstBruteMatrix checks TANE at workers {1, 3}, without and with
+// a PLI cache, under both null semantics, on random relations with nulls
+// against the brute-force cover. Every level's products run through
+// IntersectAll, so this covers the product kernel end to end.
+func TestAgainstBruteMatrix(t *testing.T) {
+	for _, sem := range []relation.NullSemantics{relation.NullEqNull, relation.NullNeqNull} {
+		for trial := 0; trial < 6; trial++ {
+			rng := rand.New(rand.NewSource(int64(40 + trial)))
+			spec := dataset.Spec{Name: "nulls", Rows: 20 + rng.Intn(40), Seed: int64(trial), Semantics: sem}
+			for c := 0; c < 3+rng.Intn(4); c++ {
+				spec.Columns = append(spec.Columns, dataset.Column{
+					Kind: dataset.Categorical, Card: 1 + rng.Intn(5), NullRate: 0.15,
+				})
+			}
+			r := dataset.Generate(spec)
+			want := brute.MinimalFDs(r)
+			for _, workers := range []int{1, 3} {
+				for _, cached := range []bool{false, true} {
+					cfg := Config{Workers: workers}
+					if cached {
+						cfg.Cache = partition.NewCache(1<<30, nil)
+					}
+					got, _, err := Run(context.Background(), r, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !dep.Equal(got, want) {
+						a, b := dep.Diff(got, want, r.Names)
+						t.Fatalf("%v trial %d workers %d cached %v: only tane %v, only brute %v",
+							sem, trial, workers, cached, a, b)
+					}
+				}
+			}
+		}
 	}
 }

@@ -105,7 +105,8 @@ func (v *Validator) FD(lhs, rhs bitset.Set, start *partition.Partition, startAtt
 		v.scratch, v.next = scratch[:0], next[:0]
 		v.arenaA, v.arenaB = arena, spare
 	}()
-	for _, cluster := range start.Clusters {
+	for i := 0; i < start.Card(); i++ {
+		cluster := start.Cluster(i)
 		v.RowsScanned += len(cluster)
 		scratch = scratch[:0]
 		scratch = append(scratch, cluster)
@@ -199,16 +200,11 @@ func (v *Validator) scanApprox(s []int32, valid bitset.Set) (done bool) {
 // validate(root, {r}) call at the start of Algorithm 6. Constant columns
 // survive; each invalidated attribute contributes a non-FD witness.
 func (v *Validator) EmptyLHS(rhs bitset.Set, nonFDs *sampling.NonFDSet) bitset.Set {
-	n := v.r.NumRows()
-	if n < 2 {
+	if v.r.NumRows() < 2 {
 		v.LastSize = 0
 		return rhs.Clone()
 	}
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	start := &partition.Partition{NRows: n, Clusters: [][]int32{all}}
+	start := partition.Full(v.r.NumRows())
 	return v.FD(bitset.New(v.r.NumCols()), rhs, start, bitset.New(v.r.NumCols()), nonFDs)
 }
 
