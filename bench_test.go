@@ -26,9 +26,16 @@ import (
 	"repro/internal/profile"
 	"repro/internal/ranking"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 	"repro/internal/sampling"
 	"repro/internal/tane"
 )
+
+// leftReduced runs DHyFD with the paper's tuning.
+func leftReduced(r *relation.Relation) []dhyfd.FD {
+	fds, _, _ := core.Run(context.Background(), r, runstate.Env{}, 0)
+	return fds
+}
 
 func benchParams() bench.Params {
 	return bench.Params{Scale: 0.05, TimeLimit: 30 * time.Second, Quick: true}
@@ -184,12 +191,12 @@ func BenchmarkAblationInduction(b *testing.B) {
 	r := bm.Generate(108, 13)
 	b.Run("classic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Classic)
+			fdep.Run(context.Background(), r, runstate.Env{}, fdep.Classic)
 		}
 	})
 	b.Run("synergized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Sorted)
+			fdep.Run(context.Background(), r, runstate.Env{}, fdep.Sorted)
 		}
 	})
 }
@@ -201,12 +208,12 @@ func BenchmarkAblationNonFDOrder(b *testing.B) {
 	r := bm.Generate(132, 13)
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.Sorted)
+			fdep.Run(context.Background(), r, runstate.Env{}, fdep.Sorted)
 		}
 	})
 	b.Run("nonredundant", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fdep.Discover(r, fdep.NonRedundant)
+			fdep.Run(context.Background(), r, runstate.Env{}, fdep.NonRedundant)
 		}
 	})
 }
@@ -218,12 +225,12 @@ func BenchmarkAblationDDM(b *testing.B) {
 	r := bm.Generate(4000, 18)
 	b.Run("ddm-on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.DiscoverWithConfig(r, core.Config{Ratio: 3})
+			core.Run(context.Background(), r, runstate.Env{}, 3)
 		}
 	})
 	b.Run("ddm-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.DiscoverWithConfig(r, core.Config{Ratio: 1e18})
+			core.Run(context.Background(), r, runstate.Env{}, 1e18)
 		}
 	})
 }
@@ -235,12 +242,12 @@ func BenchmarkAblationOneShotSampling(b *testing.B) {
 	r := bm.Generate(3000, 20)
 	b.Run("dhyfd-one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.Discover(r)
+			core.Run(context.Background(), r, runstate.Env{}, 0)
 		}
 	})
 	b.Run("hyfd-progressive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hyfd.Discover(r)
+			hyfd.Run(context.Background(), r, runstate.Env{})
 		}
 	})
 }
@@ -250,7 +257,7 @@ func BenchmarkAblationOneShotSampling(b *testing.B) {
 func BenchmarkCanonicalCoverLarge(b *testing.B) {
 	bm, _ := dataset.ByName("hepatitis")
 	r := bm.Generate(155, 18)
-	lr := core.Discover(r)
+	lr := leftReduced(r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cover.Canonical(r.NumCols(), lr)
@@ -260,7 +267,7 @@ func BenchmarkCanonicalCoverLarge(b *testing.B) {
 func BenchmarkRankCanonicalCover(b *testing.B) {
 	bm, _ := dataset.ByName("ncvoter")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), leftReduced(r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ranking.Rank(r, can)
@@ -281,7 +288,7 @@ func BenchmarkTANELattice(b *testing.B) {
 	r := bm.Generate(2000, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tane.DiscoverCtx(context.Background(), r); err != nil {
+		if _, _, err := tane.Run(context.Background(), r, runstate.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +306,7 @@ func BenchmarkProfileReport(b *testing.B) {
 func BenchmarkCandidateKeys(b *testing.B) {
 	bm, _ := dataset.ByName("bridges")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), leftReduced(r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		normalize.CandidateKeys(r.NumCols(), can, 128)
@@ -309,14 +316,14 @@ func BenchmarkCandidateKeys(b *testing.B) {
 func BenchmarkArmstrongRoundTrip(b *testing.B) {
 	bm, _ := dataset.ByName("iris")
 	r := bm.GenerateDefault()
-	can := cover.Canonical(r.NumCols(), core.Discover(r))
+	can := cover.Canonical(r.NumCols(), leftReduced(r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arm, err := armstrong.Relation(r.NumCols(), can, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.Discover(arm)
+		core.Run(context.Background(), arm, runstate.Env{}, 0)
 	}
 }
 
@@ -346,7 +353,7 @@ func BenchmarkParallelValidation(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.DiscoverWithConfig(r, core.Config{Workers: workers})
+				core.Run(context.Background(), r, runstate.Env{Workers: workers}, 0)
 			}
 		})
 	}

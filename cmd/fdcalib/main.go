@@ -4,12 +4,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/runstate"
 )
 
 func main() {
@@ -22,7 +25,11 @@ func main() {
 		}
 		r := b.GenerateDefault()
 		start := time.Now()
-		fds := core.Discover(r)
+		fds, _, err := core.Run(context.Background(), r, runstate.Env{}, 0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fdcalib: %s: %v\n", b.Name, err)
+			os.Exit(1)
+		}
 		fmt.Printf("%-12s %8d %5d %10d %10d %10v\n",
 			b.Name, r.NumRows(), r.NumCols(), b.PaperFDs, len(fds), time.Since(start).Round(time.Millisecond))
 	}

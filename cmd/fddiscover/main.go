@@ -22,7 +22,7 @@
 // cover and a warning on stderr. -pli-cache shares stripped partitions
 // across the run's subsystems through a size-bounded LRU cache; hit and
 // miss counts show up in the -stats report. -shard-size overrides the row
-// block size of the parallel PLI bootstrap, and -spill-dir spills cold
+// block size of the sharded kernels, and -spill-dir spills cold
 // cache entries to memory-mapped temp files instead of discarding them so
 // the resident footprint stays within the budget. -page-columns pages the
 // encoded columns themselves to memory-mapped temp files during ingest, so
@@ -56,7 +56,7 @@ import (
 
 func main() {
 	algo := flag.String("algo", "dhyfd", "algorithm: dhyfd, hyfd, tane, fdep, fdep1, fdep2, fastfds, dfd")
-	workers := flag.Int("workers", 1, "validation worker-pool width (dhyfd, hyfd, tane)")
+	workers := flag.Int("workers", 1, "worker-pool width of the parallel hot paths (every algorithm)")
 	nullSem := flag.String("null", "eq", "null semantics: eq (null = null) or neq (null ≠ null)")
 	canonical := flag.Bool("canonical", false, "emit a canonical cover instead of the left-reduced cover")
 	ratio := flag.Float64("ratio", 3.0, "DHyFD efficiency–inefficiency ratio")
@@ -66,7 +66,7 @@ func main() {
 	memBudget := flag.Int64("mem-budget", -1, "approximate partition-memory budget in bytes; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	maxParts := flag.Int("max-partitions", -1, "cap on partitions materialized; on exhaustion the run degrades to a sound partial result (-1 = unlimited)")
 	pliCache := flag.Int64("pli-cache", 0, "share stripped partitions through an LRU cache of this many bytes (0 = disabled)")
-	shardSize := flag.Int("shard-size", 0, "row-block size of the parallel PLI bootstrap (0 = the built-in default)")
+	shardSize := flag.Int("shard-size", 0, "row-block size of the sharded kernels (0 = the built-in default)")
 	spillDir := flag.String("spill-dir", "", "spill cold PLI-cache entries to temp files under this directory instead of discarding them (empty = spill disabled)")
 	pageColumns := flag.Bool("page-columns", false, "page the encoded columns to memory-mapped temp files during ingest instead of holding them on the heap")
 	topK := flag.Int("topk", 0, "discover only the N most relevant FDs, pre-ranked by redundancy (0 = full cover)")
@@ -74,7 +74,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot the run's search state into this directory for -resume (empty = durability off)")
 	interval := flag.Duration("interval", 0, "checkpoint write interval (0 = the 30s default)")
 	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory")
-	retries := flag.Int("retries", 0, "re-run transiently failed validation batches up to N times (dhyfd, hyfd, tane)")
+	retries := flag.Int("retries", 0, "re-run transiently failed worker-pool items up to N times")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fddiscover [flags] file.csv\n")
 		flag.PrintDefaults()

@@ -49,22 +49,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/dep"
-	"repro/internal/dfd"
+	"repro/internal/driver"
 	"repro/internal/engine"
-	"repro/internal/fastfds"
-	"repro/internal/fdep"
-	"repro/internal/hyfd"
 	"repro/internal/partition"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 	"repro/internal/runstate"
-	"repro/internal/tane"
 	"repro/internal/topk"
 )
 
@@ -143,15 +137,17 @@ const (
 	DFD
 )
 
-var algorithmNames = map[Algorithm]string{
-	DHyFD: "dhyfd", HyFD: "hyfd", TANE: "tane",
-	FDEP: "fdep", FDEP1: "fdep1", FDEP2: "fdep2",
-	FastFDs: "fastfds", DFD: "dfd",
+// spec returns the algorithm's row of the algorithm table.
+func (a Algorithm) spec() (driver.Spec, bool) {
+	if a < 0 || int(a) >= len(driver.Table) {
+		return driver.Spec{}, false
+	}
+	return driver.Table[a], true
 }
 
 func (a Algorithm) String() string {
-	if s, ok := algorithmNames[a]; ok {
-		return s
+	if s, ok := a.spec(); ok {
+		return s.Name
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -160,17 +156,19 @@ func (a Algorithm) String() string {
 // case-insensitive and deterministic: candidates are tried in the stable
 // order of Algorithms.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if strings.EqualFold(algorithmNames[a], name) {
-			return a, nil
-		}
+	if i, ok := driver.Lookup(name); ok {
+		return Algorithm(i), nil
 	}
 	return 0, fmt.Errorf("dhyfd: unknown algorithm %q", name)
 }
 
 // Algorithms lists all available algorithms in a stable order.
 func Algorithms() []Algorithm {
-	return []Algorithm{DHyFD, HyFD, TANE, FDEP, FDEP1, FDEP2, FastFDs, DFD}
+	all := make([]Algorithm, len(driver.Table))
+	for i := range all {
+		all[i] = Algorithm(i)
+	}
+	return all
 }
 
 // RunStats is the algorithm-agnostic run report every algorithm emits:
@@ -237,9 +235,13 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *discoverConfig) { c.algorithm = a }
 }
 
-// WithWorkers sets the validation worker-pool width for the algorithms
-// with a parallel hot path (DHyFD, HyFD, TANE). Values below 2 keep the
-// serial behaviour; other algorithms ignore it.
+// WithWorkers sets the worker-pool width of the run's parallel hot paths:
+// level validation (DHyFD, HyFD) and DDM refreshes (DHyFD), the per-level
+// PLI products (TANE), the walk's partition materializations (DFD), the
+// negative-cover pair scan (FDEP variants, FastFDs), and every
+// algorithm's sharded kernels and post-run verification and ranking.
+// Values below 2 keep the serial behaviour. The cover never depends on
+// it.
 func WithWorkers(n int) Option {
 	return func(c *discoverConfig) { c.workers = n }
 }
@@ -302,14 +304,14 @@ func WithPartitionCache(bytes int64) Option {
 	return func(c *discoverConfig) { c.cacheBytes = bytes }
 }
 
-// WithShardSize sets the row-block size of the sharded single-attribute
-// partition bootstrap used by the PLI-based algorithms (DHyFD, HyFD,
-// TANE, DFD): columns longer than one shard are grouped shard-by-shard on
-// the worker pool and merged into partitions byte-identical to the serial
-// build, so ingest-sized relations never serialize their PLI build on one
-// core. n <= 0 keeps the default (partition.DefaultShardSize rows). The
-// row-based algorithms (FDEP variants, FastFDs) build no partitions and
-// ignore it.
+// WithShardSize sets the row-block size of the sharded kernels: the
+// single-attribute partition bootstrap and row sampling of the PLI-based
+// algorithms (DHyFD, HyFD, TANE, DFD) and the negative-cover pair scan of
+// the row-based ones (FDEP variants, FastFDs). Inputs longer than one
+// shard are processed shard-by-shard on the worker pool and merged into
+// results byte-identical to the serial pass, so ingest-sized relations
+// never serialize on one core. n <= 0 keeps the default
+// (partition.DefaultShardSize rows).
 func WithShardSize(n int) Option {
 	return func(c *discoverConfig) { c.shardSize = n }
 }
@@ -498,8 +500,9 @@ func WithResume(dir string) Option {
 	}
 }
 
-// WithRetries lets the parallel drivers (DHyFD, HyFD, TANE) re-run a
-// failed validation batch up to n times when the failure is classified
+// WithRetries lets every algorithm re-run a failed worker-pool item — a
+// validation batch, a partition build or product, a sampling or
+// negative-cover shard — up to n times when the failure is classified
 // transient, sleeping a capped, fully-jittered exponential backoff between
 // attempts. Fatal failures (and organic panics) still surface immediately
 // as *PanicError. Attempts and retries are reported in Stats under
@@ -535,37 +538,32 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 	if cfg.optErr != nil {
 		return &Result{Algorithm: cfg.algorithm}, cfg.optErr
 	}
+	spec, ok := cfg.algorithm.spec()
+	if !ok {
+		return &Result{Algorithm: cfg.algorithm}, fmt.Errorf("dhyfd: unknown algorithm %v", cfg.algorithm)
+	}
 	// The lattice algorithms support the fused top-k heap and approximate
 	// validation; the row-based ones derive covers from exact difference
 	// sets, so they reject WithMaxError and satisfy WithTopK by ranking
 	// and truncating their full cover (see attachTopK).
-	lattice := false
-	switch cfg.algorithm {
-	case DHyFD, HyFD, TANE, DFD:
-		lattice = true
-	case FDEP, FDEP1, FDEP2, FastFDs:
-	default:
-	}
 	maxViol := 0
 	if cfg.maxErr > 0 {
-		if !lattice {
+		if !spec.Lattice {
 			return &Result{Algorithm: cfg.algorithm},
-				fmt.Errorf("dhyfd: WithMaxError is not supported by the row-based %v; use DHyFD, HyFD, TANE or DFD", cfg.algorithm)
+				fmt.Errorf("dhyfd: WithMaxError is not supported by the row-based %v; use %s",
+					cfg.algorithm, driver.Supporting(func(s driver.Spec) bool { return s.Lattice }))
 		}
 		maxViol = int(cfg.maxErr * float64(r.NumRows()))
 	}
 	// Durability: every algorithm with a resumable search frontier supports
-	// checkpoint/resume; the FDEP variants' single induction pass does not.
-	if cfg.ckptDir != "" || cfg.resumeDir != "" {
-		switch cfg.algorithm {
-		case DHyFD, HyFD, TANE, DFD, FastFDs:
-		default:
-			return &Result{Algorithm: cfg.algorithm},
-				fmt.Errorf("dhyfd: WithCheckpoint/WithResume are not supported by %v; use DHyFD, HyFD, TANE, DFD or FastFDs", cfg.algorithm)
-		}
-	}
+	// checkpoint/resume.
 	var fp runstate.Fingerprint
 	if cfg.ckptDir != "" || cfg.resumeDir != "" {
+		if !spec.Durable {
+			return &Result{Algorithm: cfg.algorithm},
+				fmt.Errorf("dhyfd: WithCheckpoint/WithResume are not supported by %v; use %s",
+					cfg.algorithm, driver.Supporting(func(s driver.Spec) bool { return s.Durable }))
+		}
 		fp = runstate.FingerprintOf(r, cfg.algorithm.String(), cfg.topK, int64(maxViol))
 	}
 	var snap *runstate.Snapshot
@@ -592,7 +590,7 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		cp = c
 	}
 	var collector *topk.Collector
-	if cfg.topK > 0 && lattice {
+	if cfg.topK > 0 && spec.Lattice {
 		if snap != nil && snap.TopK != nil {
 			collector = snap.TopK.Restore()
 		} else {
@@ -649,54 +647,12 @@ func Discover(ctx context.Context, r *Relation, opts ...Option) (res *Result, er
 		}
 	}()
 
-	var (
-		fds []FD
-		rs  *engine.RunStats
-	)
-	switch cfg.algorithm {
-	case DHyFD:
-		fds, rs, err = core.DiscoverRun(ctx, r, core.Config{
-			Ratio: cfg.ratio, Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
-	case HyFD:
-		fds, rs, err = hyfd.DiscoverRun(ctx, r, hyfd.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
-	case TANE:
-		fds, rs, err = tane.Run(ctx, r, tane.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Budget: budget, Cache: cache,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap, Retries: cfg.retries,
-		})
-	case FDEP:
-		fds, rs, err = fdep.Run(ctx, r, fdep.Classic, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
-	case FDEP1:
-		fds, rs, err = fdep.Run(ctx, r, fdep.NonRedundant, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
-	case FDEP2:
-		fds, rs, err = fdep.Run(ctx, r, fdep.Sorted, fdep.Config{Workers: cfg.workers, ShardSize: cfg.shardSize})
-	case FastFDs:
-		fds, rs, err = fastfds.Run(ctx, r, fastfds.Config{
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			Checkpoint: cp, Resume: snap,
-		})
-	case DFD:
-		fds, rs, err = dfd.Run(ctx, r, dfd.Config{
-			Budget: budget, Cache: cache,
-			Workers: cfg.workers, ShardSize: cfg.shardSize,
-			TopK: collector, MaxViolations: maxViol,
-			Checkpoint: cp, Resume: snap,
-		})
-	default:
-		return nil, fmt.Errorf("dhyfd: unknown algorithm %v", cfg.algorithm)
-	}
-
+	fds, rs, err := spec.Run(ctx, r, runstate.Env{
+		Workers: cfg.workers, ShardSize: cfg.shardSize,
+		Budget: budget, Cache: cache,
+		TopK: collector, MaxViolations: maxViol,
+		Checkpoint: cp, Resume: snap, Retries: cfg.retries,
+	}, cfg.ratio)
 	res.FDs = fds
 	if rs != nil {
 		res.Stats = *rs

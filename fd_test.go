@@ -3,6 +3,7 @@ package dhyfd_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -224,10 +225,6 @@ func TestTopKOptionValidation(t *testing.T) {
 	if _, err := dhyfd.Discover(context.Background(), rel, dhyfd.WithMaxError(-0.1)); err == nil {
 		t.Error("WithMaxError(-0.1) must error")
 	}
-	if _, err := dhyfd.Discover(context.Background(), rel,
-		dhyfd.WithAlgorithm(dhyfd.FDEP), dhyfd.WithMaxError(0.1)); err == nil {
-		t.Error("WithMaxError on a row-based algorithm must error")
-	}
 	// WithTopK(0) and WithMaxError(0) are the exact defaults.
 	res, err := dhyfd.Discover(context.Background(), rel, dhyfd.WithTopK(0), dhyfd.WithMaxError(0))
 	if err != nil {
@@ -235,6 +232,65 @@ func TestTopKOptionValidation(t *testing.T) {
 	}
 	if res.Ranked != nil {
 		t.Error("WithTopK(0) must not rank")
+	}
+}
+
+// TestCapabilityMatrix pins, for every algorithm and every option an
+// algorithm may not support, whether Discover accepts the option and the
+// exact refusal text when it does not. Row-based algorithms derive covers
+// from exact difference sets (no g3 bound) and rank-and-truncate for
+// top-k; the FDEP variants have no resumable frontier.
+func TestCapabilityMatrix(t *testing.T) {
+	rel := loadVoters(t)
+	const (
+		approxErr  = "dhyfd: WithMaxError is not supported by the row-based %v; use DHyFD, HyFD, TANE or DFD"
+		durableErr = "dhyfd: WithCheckpoint/WithResume are not supported by %v; use DHyFD, HyFD, TANE, DFD or FastFDs"
+	)
+	lattice := map[dhyfd.Algorithm]bool{dhyfd.DHyFD: true, dhyfd.HyFD: true, dhyfd.TANE: true, dhyfd.DFD: true}
+	durable := map[dhyfd.Algorithm]bool{dhyfd.DHyFD: true, dhyfd.HyFD: true, dhyfd.TANE: true, dhyfd.DFD: true, dhyfd.FastFDs: true}
+	// Every constant has its own row of the algorithm table, in order.
+	names := []string{"dhyfd", "hyfd", "tane", "fdep", "fdep1", "fdep2", "fastfds", "dfd"}
+	if got := len(dhyfd.Algorithms()); got != len(names) {
+		t.Fatalf("Algorithms() lists %d algorithms, want %d", got, len(names))
+	}
+	for i, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE, dhyfd.FDEP, dhyfd.FDEP1, dhyfd.FDEP2, dhyfd.FastFDs, dhyfd.DFD} {
+		if a != dhyfd.Algorithms()[i] || a.String() != names[i] {
+			t.Errorf("Algorithms()[%d] = %v, want %v named %q", i, dhyfd.Algorithms()[i], a, names[i])
+		}
+	}
+	for _, a := range dhyfd.Algorithms() {
+		name := a.String()
+		if got, err := dhyfd.ParseAlgorithm(name); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, a)
+		}
+		cells := []struct {
+			option string
+			opt    func(t *testing.T) dhyfd.Option
+			wantOK bool
+			errFmt string
+		}{
+			{"WithMaxError(0.1)", func(*testing.T) dhyfd.Option { return dhyfd.WithMaxError(0.1) }, lattice[a], approxErr},
+			{"WithCheckpoint", func(t *testing.T) dhyfd.Option { return dhyfd.WithCheckpoint(t.TempDir(), 0) }, durable[a], durableErr},
+			{"WithResume", func(t *testing.T) dhyfd.Option { return dhyfd.WithResume(t.TempDir()) }, durable[a], durableErr},
+			{"WithTopK(3)", func(*testing.T) dhyfd.Option { return dhyfd.WithTopK(3) }, true, ""},
+		}
+		for _, c := range cells {
+			t.Run(name+"/"+c.option, func(t *testing.T) {
+				res, err := dhyfd.Discover(context.Background(), rel, dhyfd.WithAlgorithm(a), c.opt(t))
+				if res == nil || res.Algorithm != a {
+					t.Fatalf("Result = %+v, want one naming %v", res, a)
+				}
+				if c.wantOK {
+					if err != nil {
+						t.Fatalf("rejected: %v", err)
+					}
+					return
+				}
+				if want := fmt.Sprintf(c.errFmt, a); err == nil || err.Error() != want {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+			})
+		}
 	}
 }
 

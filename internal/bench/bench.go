@@ -21,14 +21,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
-	"repro/internal/dfd"
+	"repro/internal/driver"
 	"repro/internal/engine"
-	"repro/internal/fastfds"
-	"repro/internal/fdep"
-	"repro/internal/hyfd"
 	"repro/internal/partition"
 	"repro/internal/relation"
-	"repro/internal/tane"
+	"repro/internal/runstate"
 )
 
 // Params configure a harness run.
@@ -93,58 +90,6 @@ func (r RunResult) Time() string {
 	return fmt.Sprintf("%.3f", r.Elapsed.Seconds())
 }
 
-// runFunc executes one algorithm and returns its FD count and run report,
-// or an error (with the partial report) when cancelled.
-type runFunc func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error)
-
-func algorithmFunc(name string, cache *partition.Cache) runFunc {
-	switch name {
-	case "TANE":
-		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			fds, rs, err := tane.Run(ctx, r, tane.Config{Cache: cache})
-			return len(fds), rs, err
-		}
-	case "FDEP":
-		return fdepFunc(fdep.Classic)
-	case "FDEP1":
-		return fdepFunc(fdep.NonRedundant)
-	case "FDEP2":
-		return fdepFunc(fdep.Sorted)
-	case "HyFD":
-		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			cfg := hyfd.DefaultConfig()
-			cfg.Cache = cache
-			fds, rs, err := hyfd.DiscoverRun(ctx, r, cfg)
-			return len(fds), rs, err
-		}
-	case "DHyFD":
-		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			cfg := core.DefaultConfig()
-			cfg.Cache = cache
-			fds, rs, err := core.DiscoverRun(ctx, r, cfg)
-			return len(fds), rs, err
-		}
-	case "FastFDs":
-		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			fds, rs, err := fastfds.DiscoverRun(ctx, r)
-			return len(fds), rs, err
-		}
-	case "DFD":
-		return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-			fds, rs, err := dfd.Run(ctx, r, dfd.Config{Cache: cache})
-			return len(fds), rs, err
-		}
-	}
-	panic("bench: unknown algorithm " + name)
-}
-
-func fdepFunc(v fdep.Variant) runFunc {
-	return func(ctx context.Context, r *relation.Relation) (int, *engine.RunStats, error) {
-		fds, rs, err := fdep.DiscoverRun(ctx, r, v)
-		return len(fds), rs, err
-	}
-}
-
 // Run executes one named algorithm on r under the time limit, measuring
 // elapsed time and bytes allocated. Runs that exceed the limit are
 // cancelled cooperatively — the paper's TL entries — and their work is
@@ -163,7 +108,11 @@ func RunCached(ctx context.Context, name string, r *relation.Relation, limit tim
 		Rows:      r.NumRows(),
 		Cols:      r.NumCols(),
 	}
-	f := algorithmFunc(name, partition.NewCache(cacheBytes, nil))
+	i, ok := driver.Lookup(name)
+	if !ok {
+		panic("bench: unknown algorithm " + name)
+	}
+	env := runstate.Env{Cache: partition.NewCache(cacheBytes, nil)}
 
 	runtime.GC()
 	var before runtime.MemStats
@@ -173,7 +122,7 @@ func RunCached(ctx context.Context, name string, r *relation.Relation, limit tim
 	defer cancel()
 
 	start := time.Now()
-	fds, rs, err := f(ctx, r)
+	fds, rs, err := driver.Table[i].Run(ctx, r, env, 0)
 	elapsed := time.Since(start)
 
 	var after runtime.MemStats
@@ -185,7 +134,7 @@ func RunCached(ctx context.Context, name string, r *relation.Relation, limit tim
 		res.Elapsed = limit
 		return res
 	}
-	res.FDs = fds
+	res.FDs = len(fds)
 	res.Elapsed = elapsed
 	res.AllocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	return res
@@ -194,7 +143,7 @@ func RunCached(ctx context.Context, name string, r *relation.Relation, limit tim
 // CoverOf runs DHyFD and returns the left-reduced cover — the input of the
 // cover and ranking experiments. Cancellation yields the partial cover.
 func CoverOf(ctx context.Context, r *relation.Relation) []dep.FD {
-	fds, _, _ := core.DiscoverRun(ctx, r, core.DefaultConfig())
+	fds, _, _ := core.Run(ctx, r, runstate.Env{}, 0)
 	return fds
 }
 

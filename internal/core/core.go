@@ -41,100 +41,12 @@ import (
 	"repro/internal/relation"
 	"repro/internal/runstate"
 	"repro/internal/sampling"
-	"repro/internal/topk"
 	"repro/internal/validate"
 )
 
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
-
-// Config tunes DHyFD.
-type Config struct {
-	// Ratio is the efficiency–inefficiency threshold above which the DDM
-	// refreshes its partitions (Algorithm 6, line 26). The paper tunes it
-	// to 3.0 (Figure 6). Set it very large to disable refreshes entirely,
-	// which degenerates DHyFD into a validate-from-singletons hybrid.
-	Ratio float64
-	// Workers sets the engine.Pool width used to validate a level's
-	// candidates and to refresh the DDM's partitions — an extension
-	// beyond the paper's single-threaded implementation. Validation of
-	// distinct FD-nodes is independent (the DDM is read-only during a
-	// level), so levels parallelize cleanly; induction remains
-	// sequential. Values below 2 keep the paper's serial behaviour.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// partition bootstrap: columns longer than one shard group and merge
-	// on the worker pool instead of serially. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// Budget optionally bounds partition memory. On exhaustion DHyFD
-	// stops refreshing the DDM (falling back to single-attribute
-	// partitions, which keeps the cover complete and sound) and flags
-	// the run report Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally shares stripped partitions across the run (and
-	// across runs over the same relation): the DDM publishes its
-	// refreshed partitions and starts refreshes from the smallest-error
-	// cached subset when a node has no consistent slot. Nil disables
-	// caching.
-	Cache *partition.Cache
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// validation: validated FDs are offered to the collector scored by
-	// ‖π_LHS‖ (the validator's LastSize) and candidate nodes whose best
-	// reachable score — the smallest single-attribute partition size over
-	// their LHS, an upper bound on ‖π_LHS‖ and on every specialization —
-	// cannot beat the admission threshold are skipped. The run returns
-	// the collector's FDs in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes validation to the g3-style bound: lhs → A
-	// counts as valid while at most MaxViolations rows must be deleted
-	// for it to hold exactly. Positive values disable pair sampling
-	// (exact violating pairs must not refute approximately valid FDs);
-	// the search tree specializes from validation outcomes instead,
-	// which monotonicity makes sound. 0 keeps exact discovery.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the FD-tree, non-FD set and
-	// level cursor at every validation-level boundary so a killed run can
-	// resume. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's level frontier:
-	// the tree and non-FD set are restored and validation restarts at the
-	// cursor. The DDM is rebuilt cold — restored node ids fall back to
-	// single-attribute partitions, which is slower but changes nothing
-	// about the cover. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
-}
-
-// DefaultConfig returns the paper's tuned configuration.
-func DefaultConfig() Config { return Config{Ratio: 3.0} }
-
-func (c *Config) fillDefaults() {
-	if c.Ratio == 0 {
-		c.Ratio = 3.0
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-}
-
-// Stats reports the DHyFD-specific measures of a run; the algorithm-
-// agnostic view (phase timings, hot-path counters, cancellation state)
-// is the engine.RunStats that DiscoverRun returns.
-type Stats struct {
-	InitialNonFDs    int // distinct agree sets from the one-shot sampling
-	Comparisons      int // tuple pairs compared by the one-shot sampling
-	NonFDs           int // total distinct agree sets (sampling + validation)
-	Validations      int // (node, RHS attr) validations
-	Invalidated      int // validations that failed
-	Levels           int // validation levels processed
-	Refinements      int // DDM refreshes (controlled-level advances)
-	PeakDynPartRows  int // max Σ‖π‖ held by the DDM at once (memory proxy)
-	PeakDynPartCount int // max number of dynamic partitions held at once
-	FDs              int // FDs in the output cover
-}
+// DefaultRatio is the paper's tuned efficiency–inefficiency threshold
+// (Figure 6).
+const DefaultRatio = 3.0
 
 // ddm is the dynamic data manager: pre-computed single-attribute stripped
 // partitions plus one array of dynamic partitions per controlled-level
@@ -156,15 +68,15 @@ type dynPartition struct {
 	attrs bitset.Set
 }
 
-func newDDM(ctx context.Context, pool *engine.Pool, r *relation.Relation, cfg *Config) (*ddm, int, error) {
+func newDDM(ctx context.Context, h *runstate.Harness, r *relation.Relation) (*ddm, int, error) {
 	m := &ddm{
 		r:      r,
 		epoch:  1,
-		budget: cfg.Budget,
-		cache:  cfg.Cache,
-		kern:   partition.NewKernels(pool, cfg.ShardSize, cfg.Cache),
+		budget: h.Budget,
+		cache:  h.Cache,
+		kern:   partition.NewKernels(h.Pool, h.ShardSize, h.Cache),
 	}
-	singles, built, err := m.kern.Singles(ctx, r.Cols, r.Cards, cfg.Budget)
+	singles, built, err := m.kern.Singles(ctx, r.Cols, r.Cards, h.Budget)
 	m.singles = singles
 	return m, built, err
 }
@@ -274,133 +186,91 @@ func (m *ddm) rows() int {
 	return total
 }
 
-// Discover returns the left-reduced cover of the FDs holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	fds, _ := DiscoverWithConfig(r, DefaultConfig())
-	return fds
-}
-
-// DiscoverWithConfig runs DHyFD with explicit tuning and returns run
-// statistics alongside the cover.
-func DiscoverWithConfig(r *relation.Relation, cfg Config) ([]dep.FD, Stats) {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, stats, _ := DiscoverCtx(context.Background(), r, cfg)
-	return fds, stats
-}
-
-// DiscoverCtx is DiscoverWithConfig with cooperative cancellation, checked
-// between validation batches.
-func DiscoverCtx(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, Stats, error) {
-	fds, stats, _, err := discover(ctx, r, cfg)
-	return fds, stats, err
-}
-
-// DiscoverRun runs DHyFD and emits the algorithm-agnostic run report. On
-// cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, cfg Config) ([]dep.FD, *engine.RunStats, error) {
-	fds, _, rs, err := discover(ctx, r, cfg)
-	return fds, rs, err
-}
-
-func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retStats Stats, retRS *engine.RunStats, retErr error) {
-	cfg.fillDefaults()
-	var stats Stats
-	rs := engine.NewRunStats("dhyfd", cfg.Workers)
-	topkFlushed := false
-	flushTopK := func() {
-		if cfg.TopK == nil || topkFlushed {
-			return
-		}
-		topkFlushed = true
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
+// Run discovers the left-reduced cover of the FDs holding on r with DHyFD
+// under env. ratio is the efficiency–inefficiency threshold above which
+// the DDM refreshes its partitions (Algorithm 6, line 26); 0 selects
+// DefaultRatio, and a very large ratio disables refreshes entirely, which
+// degenerates DHyFD into a validate-from-singletons hybrid.
+//
+// Validation of distinct FD-nodes is independent (the DDM is read-only
+// during a level), so env.Workers parallelizes each level's candidates
+// and the DDM refreshes — an extension beyond the paper's single-threaded
+// implementation; induction stays sequential. On budget exhaustion DHyFD
+// stops refreshing the DDM (validation continues from the partitions
+// already held, which keeps the cover complete and sound) and flags the
+// report Degraded. A positive env.MaxViolations disables pair sampling:
+// one exact violating pair must not refute an approximately valid FD, so
+// the tree specializes from validation outcomes instead. env.Checkpoint
+// snapshots the FD-tree, non-FD set and level cursor at every
+// validation-level boundary; on env.Resume the DDM is rebuilt cold —
+// restored node ids fall back to single-attribute partitions, slower but
+// the same cover. On cancellation the partial report (Cancelled set) is
+// returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, env runstate.Env, ratio float64) ([]dep.FD, *engine.RunStats, error) {
+	if ratio == 0 {
+		ratio = DefaultRatio
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("dhyfd", rec)
-			flushTopK()
-			rs.Finish(perr)
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				// Heap entries were each individually validated: a sound
-				// partial top-k even after a panic.
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retStats, retRS, retErr = partial, stats, rs, perr
-		}
-	}()
+	h := env.Start("dhyfd")
+	return h.Run(func() ([]dep.FD, error) { return discover(ctx, r, h, ratio) })
+}
+
+func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness, ratio float64) ([]dep.FD, error) {
+	rs := h.RS
 	n := r.NumCols()
 	if n == 0 {
-		rs.Finish(nil)
-		return nil, stats, rs, nil
+		return nil, nil
 	}
-	pool := engine.NewPoolRetry(cfg.Workers, engine.RetryPolicy{Max: cfg.Retries})
-
 	if err := ctx.Err(); err != nil {
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return nil, err
 	}
-	cache0 := cfg.Cache.Stats()
-	defer func() {
-		delta := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += delta.Hits
-		rs.CacheMisses += delta.Misses
-		rs.CacheEvictions += delta.Evictions
-	}()
+	// The DHyFD-specific measures, reported as RunStats counters.
+	var initialNonFDs, comparisons, levels, refreshes, peakDynRows, peakDynCount int
 	stop := rs.Phase("sample")
-	m, built, err := newDDM(ctx, pool, r, &cfg)
+	m, built, err := newDDM(ctx, h, r)
 	rs.PartitionsBuilt += int64(built)
 	if err != nil {
 		stop()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		return nil, stats, rs, err
+		return nil, err
 	}
-	if cfg.Budget.Exhausted() {
-		rs.Degrade(cfg.Budget.Reason() + "; DDM refreshes disabled")
+	if h.Budget.Exhausted() {
+		rs.Degrade(h.Budget.Reason() + "; DDM refreshes disabled")
 	}
 	v := validate.New(r)
-	v.MaxViolations = cfg.MaxViolations
-	approx := cfg.MaxViolations > 0
+	v.MaxViolations = h.MaxViolations
+	approx := h.MaxViolations > 0
 	full := bitset.Full(n)
 
 	var tree *fdtree.Tree
 	var nonFDs *sampling.NonFDSet
 	var numFDs int
 	startLevel := 1
-	if lf := resumeLevel(cfg.Resume); lf != nil {
+	if lf := resumeLevel(h.Resume); lf != nil {
 		// Continue a checkpointed run: the restored tree and non-FD set are
 		// the search state proper; sampling and root validation already
 		// happened, so the run re-enters the level loop at the cursor. The
-		// validator's exported counters and the Stats fields are assigned
-		// from the snapshot — finish() reads them, so the resumed report is
+		// validator's exported counters and the measures are assigned from
+		// the snapshot — finish() reads them, so the resumed report is
 		// cumulative.
-		tree = cfg.Resume.Tree.Restore()
-		nonFDs = cfg.Resume.NonFDs.Restore()
+		tree = h.Resume.Tree.Restore()
+		nonFDs = h.Resume.NonFDs.Restore()
 		if nonFDs == nil {
 			nonFDs = sampling.NewNonFDSet(n)
 		}
-		cfg.Resume.Stats.Apply(rs)
 		v.Validations = int(lf.Validations)
 		v.Invalidated = int(lf.Invalidated)
 		v.RowsScanned = int(lf.RowsScannedV)
 		v.ClustersRefined = int(lf.ClustersRefined)
-		stats.InitialNonFDs = int(lf.InitialNonFDs)
-		stats.Comparisons = int(lf.Comparisons)
-		stats.Levels = int(lf.Level) - 1
-		stats.Refinements = int(lf.Refinements)
-		stats.PeakDynPartRows = int(lf.PeakDynRows)
-		stats.PeakDynPartCount = int(lf.PeakDynCount)
+		initialNonFDs = int(lf.InitialNonFDs)
+		comparisons = int(lf.Comparisons)
+		levels = int(lf.Level) - 1
+		refreshes = int(lf.Refinements)
+		peakDynRows = int(lf.PeakDynRows)
+		peakDynCount = int(lf.PeakDynCount)
 		rs.RowsScanned = lf.RowsScanned
 		rs.PartitionsBuilt = lf.PartitionsBuilt
 		numFDs = int(lf.NumFDs)
 		startLevel = int(lf.Level)
-		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		h.Warm(ctx, r)
 		stop()
 	} else {
 		tree = fdtree.NewWithFullRHS(n)
@@ -416,20 +286,17 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			rootWitness = nil
 		} else {
 			for c := 0; c < n; c++ {
-				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, pool, r, m.singles[c], 1, nonFDs, cfg.ShardSize)
+				_, comps, err := sampling.ClusterNeighborSampleSharded(ctx, h.Pool, r, m.singles[c], 1, nonFDs, h.ShardSize)
 				if err != nil {
 					stop()
-					pool.FoldRetryStats(rs)
-					pool.FoldShardStats(rs)
-					rs.Finish(err)
-					return nil, stats, rs, err
+					return nil, err
 				}
-				stats.Comparisons += comps
+				comparisons += comps
 			}
-			rs.RowsScanned += 2 * int64(stats.Comparisons)
+			rs.RowsScanned += 2 * int64(comparisons)
 		}
 		rootValid := v.EmptyLHS(full, rootWitness)
-		stats.InitialNonFDs = nonFDs.Len()
+		initialNonFDs = nonFDs.Len()
 		stop()
 		stop = rs.Phase("induct")
 		inductAll(tree, full, nonFDs.Sets())
@@ -439,7 +306,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			}
 		}
 		stop()
-		if cfg.TopK != nil {
+		if h.TopK != nil {
 			rootScore := 0
 			if r.NumRows() >= 2 {
 				rootScore = r.NumRows()
@@ -447,7 +314,7 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			for a := rootValid.Next(0); a >= 0; a = rootValid.Next(a + 1) {
 				rhs := bitset.New(n)
 				rhs.Add(a)
-				cfg.TopK.Admit(dep.FD{LHS: bitset.New(n), RHS: rhs}, rootScore)
+				h.TopK.Admit(dep.FD{LHS: bitset.New(n), RHS: rhs}, rootScore)
 			}
 		}
 
@@ -458,73 +325,46 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 
 	// tick snapshots the boundary before validation level vl: levels below
 	// it are fully validated and inducted into the tree, so a resumed run
-	// re-enters the loop exactly at vl. Capturing clones the whole FD-tree,
-	// so off-interval boundaries are skipped unless forced (terminal,
-	// loop-top cancellation).
+	// re-enters the loop exactly at vl.
 	tick := func(vl int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.LevelFrontier{
-			Version:         1,
-			Level:           int64(vl),
-			NumFDs:          int64(numFDs),
-			Validations:     int64(v.Validations),
-			Invalidated:     int64(v.Invalidated),
-			RowsScannedV:    int64(v.RowsScanned),
-			ClustersRefined: int64(v.ClustersRefined),
-			InitialNonFDs:   int64(stats.InitialNonFDs),
-			Comparisons:     int64(stats.Comparisons),
-			Refinements:     int64(stats.Refinements),
-			PeakDynRows:     int64(stats.PeakDynPartRows),
-			PeakDynCount:    int64(stats.PeakDynPartCount),
-			RowsScanned:     rs.RowsScanned,
-			PartitionsBuilt: rs.PartitionsBuilt,
-		}
-		st := runstate.StatsSnapOf(rs)
-		cd := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + cd.Hits
-		st.CacheMisses = rs.CacheMisses + cd.Misses
-		st.CacheEvicts = rs.CacheEvictions + cd.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			Tree:     runstate.TreeSnapOf(tree),
-			NonFDs:   runstate.NonFDSnapOf(nonFDs, n),
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, Level: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			return &runstate.Snapshot{
+				Tree:   runstate.TreeSnapOf(tree),
+				NonFDs: runstate.NonFDSnapOf(nonFDs, n),
+				Frontier: runstate.FrontierSnap{Level: &runstate.LevelFrontier{
+					Version:         1,
+					Level:           int64(vl),
+					NumFDs:          int64(numFDs),
+					Validations:     int64(v.Validations),
+					Invalidated:     int64(v.Invalidated),
+					RowsScannedV:    int64(v.RowsScanned),
+					ClustersRefined: int64(v.ClustersRefined),
+					InitialNonFDs:   int64(initialNonFDs),
+					Comparisons:     int64(comparisons),
+					Refinements:     int64(refreshes),
+					PeakDynRows:     int64(peakDynRows),
+					PeakDynCount:    int64(peakDynCount),
+					RowsScanned:     rs.RowsScanned,
+					PartitionsBuilt: rs.PartitionsBuilt,
+				}},
+			}
 		})
 	}
 
-	finish := func(err error) ([]dep.FD, Stats, *engine.RunStats, error) {
-		stats.Validations = v.Validations
-		stats.Invalidated = v.Invalidated
-		stats.NonFDs = nonFDs.Len()
+	// finish folds the validator and the DHyFD measures into the report.
+	finish := func(err error) error {
 		rs.CandidatesValidated = int64(v.Validations)
 		rs.Invalidated = int64(v.Invalidated)
 		rs.RowsScanned += int64(v.RowsScanned)
 		rs.PartitionsRefined += int64(v.ClustersRefined)
-		rs.NonFDs = int64(stats.NonFDs)
-		rs.Levels = int64(stats.Levels)
-		rs.Count("initial_non_fds", int64(stats.InitialNonFDs))
-		rs.Count("sampling_comparisons", int64(stats.Comparisons))
-		rs.Count("ddm_refreshes", int64(stats.Refinements))
-		rs.Count("peak_dyn_partitions", int64(stats.PeakDynPartCount))
-		rs.Count("peak_dyn_rows", int64(stats.PeakDynPartRows))
-		flushTopK()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			// The heap's FDs were each individually validated and minimal
-			// on the data, so this stands as a sound (partial, under err)
-			// top-k in ranking order.
-			fds := cfg.TopK.FDs()
-			stats.FDs = len(fds)
-			rs.FDs = int64(stats.FDs)
-			return fds, stats, rs, err
-		}
-		return nil, stats, rs, err
+		rs.NonFDs = int64(nonFDs.Len())
+		rs.Levels = int64(levels)
+		rs.Count("initial_non_fds", int64(initialNonFDs))
+		rs.Count("sampling_comparisons", int64(comparisons))
+		rs.Count("ddm_refreshes", int64(refreshes))
+		rs.Count("peak_dyn_partitions", int64(peakDynCount))
+		rs.Count("peak_dyn_rows", int64(peakDynRows))
+		return err
 	}
 
 	for vl := startLevel; vl <= tree.MaxLevel(); vl++ {
@@ -532,21 +372,21 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 			// Level vl is untouched, so this is still a boundary: park
 			// it for the final Flush and Ctrl-C loses nothing.
 			tick(vl, true)
-			return finish(err)
+			return nil, finish(err)
 		}
 		tick(vl, false)
 		candidates := tree.NodesAtLevel(vl)
-		stats.Levels++
+		levels++
 
 		total := 0
 		for _, node := range candidates {
 			total += node.RHSCount()
 		}
 		stop = rs.Phase("validate")
-		invalids, err := validateLevel(ctx, pool, r, m, candidates, v, nonFDs, &cfg)
+		invalids, err := validateLevel(ctx, h, r, m, candidates, v, nonFDs)
 		stop()
 		if err != nil {
-			return finish(err)
+			return nil, finish(err)
 		}
 		stop = rs.Phase("induct")
 		inductAll(tree, full, nonFDs.Sets()[processed:])
@@ -579,12 +419,12 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 		// Efficiency–inefficiency decision (Algorithm 6, lines 21–27).
 		higher := tree.CountFDs() - numFDs
 		if vl > 1 && total > 0 && len(reusables) > 0 && higher > 0 {
-			if EfficiencyInefficiencyRatio(numNewFDs, total, len(reusables), higher) > cfg.Ratio {
+			if EfficiencyInefficiencyRatio(numNewFDs, total, len(reusables), higher) > ratio {
 				// Refreshing trades memory for time; once the budget is
 				// exhausted the trade is off — validation continues from
 				// the partitions already held, which stays sound.
-				if cfg.Budget.Exhausted() {
-					rs.Degrade(cfg.Budget.Reason() + "; DDM refreshes disabled")
+				if h.Budget.Exhausted() {
+					rs.Degrade(h.Budget.Reason() + "; DDM refreshes disabled")
 					continue
 				}
 				tree.ControlledLevel = vl
@@ -592,36 +432,29 @@ func discover(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []d
 				err := m.update(ctx, reusables)
 				stop()
 				if err != nil {
-					return finish(err)
+					return nil, finish(err)
 				}
-				stats.Refinements++
+				refreshes++
 				rs.PartitionsBuilt += int64(len(reusables))
-				if rows := m.rows(); rows > stats.PeakDynPartRows {
-					stats.PeakDynPartRows = rows
-				}
-				if len(m.slots) > stats.PeakDynPartCount {
-					stats.PeakDynPartCount = len(m.slots)
-				}
+				peakDynRows = max(peakDynRows, m.rows())
+				peakDynCount = max(peakDynCount, len(m.slots))
 			}
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
-		return finish(err)
+		return nil, finish(err)
 	}
 	// Terminal boundary: the cursor is past every tree level, so resuming a
 	// post-completion snapshot replays no validation and re-emits the same
 	// cover.
 	tick(tree.MaxLevel()+1, true)
-	if cfg.TopK != nil {
-		return finish(nil) // the collector's FDs, in ranking order
+	if h.TopK != nil {
+		return nil, finish(nil) // the harness returns the collector's FDs
 	}
 	fds := dep.SplitRHS(tree.FDs())
 	dep.Sort(fds)
-	stats.FDs = len(fds)
-	_, _, _, _ = finish(nil)
-	rs.FDs = int64(stats.FDs)
-	return fds, stats, rs, nil
+	return fds, finish(nil)
 }
 
 // resumeLevel extracts a snapshot's level frontier, nil when the run
@@ -659,9 +492,9 @@ type levelInvalid struct {
 // induction. Safe to run concurrently for distinct nodes (the collector
 // is concurrent; the DDM is read-only during a level except for per-node
 // id resets).
-func validateNode(node *fdtree.Node, n int, m *ddm, v *validate.Validator, nonFDs *sampling.NonFDSet, cfg *Config) (levelInvalid, bool) {
+func validateNode(node *fdtree.Node, n int, m *ddm, v *validate.Validator, nonFDs *sampling.NonFDSet, env *runstate.Env) (levelInvalid, bool) {
 	lhs := node.Path(n)
-	if cfg.TopK != nil {
+	if env.TopK != nil {
 		// ‖π_lhs‖ — and the score of every FD specializing lhs — is at
 		// most the smallest single-attribute partition size over lhs.
 		bound := -1
@@ -670,22 +503,22 @@ func validateNode(node *fdtree.Node, n int, m *ddm, v *validate.Validator, nonFD
 				bound = s
 			}
 		}
-		if bound >= 0 && cfg.TopK.Prunable(bound) {
+		if bound >= 0 && env.TopK.Prunable(bound) {
 			node.Pruned = true
 			return levelInvalid{}, false
 		}
 	}
 	p, attrs := m.partitionFor(node, lhs)
 	valid := v.FD(lhs, node.RHS, p, attrs, nonFDs)
-	if cfg.TopK != nil && !valid.IsEmpty() {
+	if env.TopK != nil && !valid.IsEmpty() {
 		score := v.LastSize
 		for a := valid.Next(0); a >= 0; a = valid.Next(a + 1) {
 			rhs := bitset.New(n)
 			rhs.Add(a)
-			cfg.TopK.Admit(dep.FD{LHS: lhs, RHS: rhs}, score)
+			env.TopK.Admit(dep.FD{LHS: lhs, RHS: rhs}, score)
 		}
 	}
-	if cfg.MaxViolations > 0 {
+	if env.MaxViolations > 0 {
 		if inv := node.RHS.Difference(valid); !inv.IsEmpty() {
 			return levelInvalid{lhs: lhs, invalid: inv}, true
 		}
@@ -703,15 +536,16 @@ func validateNode(node *fdtree.Node, n int, m *ddm, v *validate.Validator, nonFD
 // resets, which are safe because every node is processed by exactly one
 // worker. Counters are merged even on cancellation so partial runs report
 // honestly.
-func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation, m *ddm, candidates []*fdtree.Node, v *validate.Validator, nonFDs *sampling.NonFDSet, cfg *Config) ([]levelInvalid, error) {
+func validateLevel(ctx context.Context, h *runstate.Harness, r *relation.Relation, m *ddm, candidates []*fdtree.Node, v *validate.Validator, nonFDs *sampling.NonFDSet) ([]levelInvalid, error) {
 	n := r.NumCols()
-	approx := cfg.MaxViolations > 0
+	env := &h.Env
+	approx := env.MaxViolations > 0
 	witness := nonFDs
 	if approx {
 		witness = nil
 	}
 	var invalids []levelInvalid
-	workers := pool.Workers()
+	workers := h.Pool.Workers()
 	if workers < 2 || len(candidates) < 4*workers {
 		for i, node := range candidates {
 			if i%64 == 0 {
@@ -722,7 +556,7 @@ func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation,
 			if !node.IsFDNode() {
 				continue
 			}
-			if li, ok := validateNode(node, n, m, v, witness, cfg); ok {
+			if li, ok := validateNode(node, n, m, v, witness, env); ok {
 				invalids = append(invalids, li)
 			}
 		}
@@ -734,11 +568,11 @@ func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation,
 	for w := 0; w < workers; w++ {
 		locals[w] = sampling.NewNonFDSet(n)
 		validators[w] = validate.New(r)
-		validators[w].MaxViolations = cfg.MaxViolations
+		validators[w].MaxViolations = env.MaxViolations
 	}
 	slots := make([]levelInvalid, len(candidates))
 	found := make([]bool, len(candidates))
-	err := pool.Run(ctx, len(candidates), func(w, i int) {
+	err := h.Pool.Run(ctx, len(candidates), func(w, i int) {
 		node := candidates[i]
 		if !node.IsFDNode() {
 			return
@@ -747,7 +581,7 @@ func validateLevel(ctx context.Context, pool *engine.Pool, r *relation.Relation,
 		if approx {
 			local = nil
 		}
-		slots[i], found[i] = validateNode(node, n, m, validators[w], local, cfg)
+		slots[i], found[i] = validateNode(node, n, m, validators[w], local, env)
 	})
 	for w := 0; w < workers; w++ {
 		v.Validations += validators[w].Validations

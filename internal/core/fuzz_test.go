@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/dep"
 	"repro/internal/fdep"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
 
 // FuzzDiscoverMatchesBrute decodes arbitrary bytes into a small relation
@@ -28,14 +30,14 @@ func FuzzDiscoverMatchesBrute(f *testing.F) {
 		if r == nil {
 			return
 		}
-		got := Discover(r)
+		got := discoverFDs(t, r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
 			t.Fatalf("dhyfd vs brute on %dx%d: only dhyfd %v, only brute %v",
 				r.NumRows(), r.NumCols(), a, b)
 		}
-		second := fdep.Discover(r, fdep.Sorted)
+		second, _, _ := fdep.Run(context.Background(), r, runstate.Env{}, fdep.Sorted)
 		if !dep.Equal(second, want) {
 			t.Fatalf("fdep2 vs brute diverge")
 		}

@@ -27,194 +27,91 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/runstate"
-	"repro/internal/topk"
 )
 
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
-
-// Discover returns the left-reduced cover (singleton RHSs) of the FDs
-// holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
+// Run discovers the left-reduced cover (singleton RHSs) of the FDs
+// holding on r with DFD under env.
+//
+// env.Cache keeps the partitions of visited lattice nodes alive across
+// walk steps: an error query for X first looks up π_X, then refines from
+// X's longest cached attribute prefix instead of restarting from
+// single-attribute partitions; the cache is prewarmed with every single
+// on the run's pool. Above one env.Workers, the walk's materializations
+// shard each parent partition row-wise across the pool (byte-identical
+// results, so the walk's decisions match the serial run exactly). On
+// env.Budget exhaustion the walks for the remaining RHS attributes are
+// abandoned: the run returns the minimal FDs of the attributes fully
+// walked so far (sound, since each was individually verified) flagged
+// Degraded. Under env.TopK a whole RHS walk is skipped when no LHS over
+// R∖{A} can beat the admission threshold (the bound is the largest
+// single-attribute partition size); pruning inside a walk would be
+// unsound, since descending toward minimality increases the score.
+// env.Checkpoint snapshots the walk cursor after each fully decided RHS
+// attribute — a walk decides one attribute completely or not at all. On
+// resume the rng is reseeded: walk order may differ, but each attribute's
+// minimal FDs are data-determined and sorted, so the final cover is
+// byte-identical. On cancellation the partial report (Cancelled set) is
+// returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, env runstate.Env) ([]dep.FD, *engine.RunStats, error) {
+	h := env.Start("dfd")
+	return h.Run(func() ([]dep.FD, error) { return discover(ctx, r, h) })
 }
 
-// DiscoverCtx is Discover with cooperative cancellation.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r)
-	return fds, err
-}
-
-// Config tunes DFD.
-type Config struct {
-	// Budget optionally caps the partitions DFD materializes during its
-	// lattice walks. On exhaustion the walks for the remaining RHS
-	// attributes are abandoned: the run returns the minimal FDs of the
-	// attributes fully walked so far (sound, since each was individually
-	// verified) flagged Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally keeps the partitions of visited lattice nodes
-	// alive across walk steps: an error query for X first looks up π_X,
-	// then refines from X's longest cached attribute prefix instead of
-	// restarting from single-attribute partitions. Nil disables caching.
-	Cache *partition.Cache
-	// Workers is the pool width for DFD's partition materializations:
-	// above one, the walk's refinement/intersection kernels shard each
-	// parent partition row-wise across the pool (byte-identical results,
-	// so the walk's decisions match the serial run exactly). Values
-	// below 2 keep the published serial behaviour.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// prewarm that seeds an attached Cache before the walks, and of the
-	// sharded materializations under Workers > 1. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// the walks: minimal FDs are offered to the collector scored by
-	// ‖π_LHS‖ and a whole RHS walk is skipped when no LHS over R∖{A} can
-	// beat the admission threshold (the bound is the largest single-
-	// attribute partition size — the best any non-empty LHS can score).
-	// Pruning inside a walk would be unsound: descending toward
-	// minimality increases the score. The run returns the collector's
-	// FDs in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes X → A validity to the g3-style bound: valid
-	// when at most MaxViolations rows must be deleted for the FD to hold
-	// exactly. 0 keeps the exact e(X) = e(XA) test.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the walk cursor after each fully
-	// decided RHS attribute so a killed run can resume. A walk decides one
-	// attribute completely or not at all, which makes the attribute
-	// boundary the natural durable unit. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's DFD frontier:
-	// the decided attributes' FDs are restored and walks restart at the
-	// cursor. The rng is reseeded — walk order may differ, but each
-	// attribute's minimal FDs are data-determined and sorted, so the final
-	// cover is byte-identical. The caller has already fingerprint-matched
-	// the snapshot.
-	Resume *runstate.Snapshot
-}
-
-// DiscoverRun is DiscoverCtx emitting the algorithm-agnostic run report.
-// On cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{})
-}
-
-// Run is DiscoverRun with tuning, including a partition budget.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	rs := engine.NewRunStats("dfd", 1)
-	flushTopK := func() {
-		if cfg.TopK == nil {
-			return
-		}
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("dfd", rec)
-			flushTopK()
-			rs.Finish(perr)
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				// The heap's FDs were each individually verified: a sound
-				// partial top-k even after a panic.
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retRS, retErr = partial, rs, perr
-		}
-	}()
+func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness) ([]dep.FD, error) {
+	rs := h.RS
 	n := r.NumCols()
 	var out []dep.FD
-	pool := engine.NewPool(cfg.Workers)
 	d := &dfd{
 		r:       r,
 		n:       n,
 		errs:    map[string]int{},
 		sizes:   map[string]int{},
 		rng:     rand.New(rand.NewSource(0x0dfd)),
-		budget:  cfg.Budget,
-		maxViol: cfg.MaxViolations,
-		pool:    pool,
-		kern:    partition.NewKernels(pool, cfg.ShardSize, cfg.Cache),
+		budget:  h.Budget,
+		maxViol: h.MaxViolations,
+		kern:    partition.NewKernels(h.Pool, h.ShardSize, h.Cache),
 		pctx:    context.WithoutCancel(ctx),
 	}
-	if cfg.MaxViolations > 0 {
+	if h.MaxViolations > 0 {
 		d.g3c = partition.NewG3Counter(0)
 	}
-	rs.Workers = pool.Workers()
-	cache0 := cfg.Cache.Stats()
-	defer func() {
-		delta := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += delta.Hits
-		rs.CacheMisses += delta.Misses
-		rs.CacheEvictions += delta.Evictions
-	}()
 	// Additive bases seeded from a resumed checkpoint: DFD derives its
 	// validation/build counters from its memo sizes, which start empty in
 	// the new process.
 	var valBase, builtBase int64
 	startAttr := 0
-	if cfg.Resume != nil && cfg.Resume.Frontier.DFD != nil {
-		f := cfg.Resume.Frontier.DFD
-		cfg.Resume.Stats.Apply(rs)
+	if h.Resume != nil && h.Resume.Frontier.DFD != nil {
+		f := h.Resume.Frontier.DFD
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
 		valBase, builtBase = f.Validations, f.PartitionsBuilt
-		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		h.Warm(ctx, r)
 	}
 	// tick snapshots the walk cursor: attributes below next are fully
 	// decided, their minimal FDs are in out, and everything else is
-	// rebuilt. Capturing clones the emitted cover, so off-interval
-	// boundaries are skipped unless forced (terminal, cancellation).
+	// rebuilt.
 	tick := func(next int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.DFDFrontier{
-			Version:         1,
-			NextAttr:        int64(next),
-			Validations:     valBase + int64(len(d.errs)),
-			PartitionsBuilt: builtBase + int64(len(d.errs)),
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		st := runstate.StatsSnapOf(rs)
-		cd := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + cd.Hits
-		st.CacheMisses = rs.CacheMisses + cd.Misses
-		st.CacheEvicts = rs.CacheEvictions + cd.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, DFD: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.DFDFrontier{
+				Version:         1,
+				NextAttr:        int64(next),
+				Validations:     valBase + int64(len(d.errs)),
+				PartitionsBuilt: builtBase + int64(len(d.errs)),
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{DFD: f}}
 		})
 	}
 	var prewarmBuilt int64
-	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
+	// finish derives the validation and build counters from the memo.
+	finish := func(err error) error {
 		rs.CandidatesValidated = valBase + int64(len(d.errs))
 		rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-		d.pool.FoldShardStats(rs)
-		flushTopK()
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			partial := cfg.TopK.FDs()
-			rs.FDs = int64(len(partial))
-			return partial, rs, err
-		}
-		return nil, rs, err
+		return err
 	}
-	if cfg.Cache != nil {
+	if h.Cache != nil {
 		// Prewarm the cache with every single-attribute partition, on
 		// the run's pool, so walks always find a prefix start instead of
 		// rebuilding singles mid-walk. The cache owns the bytes (and
@@ -222,11 +119,11 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		_, built, err := d.kern.Singles(ctx, r.Cols, r.Cards, nil)
 		prewarmBuilt = int64(built)
 		if err != nil {
-			return fail(err)
+			return nil, finish(err)
 		}
 	}
 	var singleBound []int
-	if cfg.TopK != nil {
+	if h.TopK != nil {
 		// The best score any non-empty LHS over R∖{A} can reach is the
 		// largest single-attribute partition size outside A.
 		singleBound = make([]int, n)
@@ -241,7 +138,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// Attribute a is untouched, so this is still a boundary:
 			// park it for the final Flush and Ctrl-C loses nothing.
 			tick(a, true)
-			return fail(err)
+			return nil, finish(err)
 		}
 		tick(a, false)
 		// A walk boundary is the one point where no materialization is in
@@ -256,7 +153,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			rs.Degrade(d.budget.Reason() + "; remaining RHS walks abandoned")
 			break
 		}
-		if cfg.TopK != nil && !d.holdsRaw(bitset.New(n), a) {
+		if h.TopK != nil && !d.holdsRaw(bitset.New(n), a) {
 			// No ∅ → a, so every FD with RHS a scores at most the best
 			// outside single: skip the whole walk when that cannot enter
 			// the heap. (When ∅ → a holds the walk below finds exactly it.)
@@ -266,7 +163,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 					bound = singleBound[b]
 				}
 			}
-			if cfg.TopK.Prunable(bound) {
+			if h.TopK.Prunable(bound) {
 				continue
 			}
 		}
@@ -275,13 +172,13 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// The abandoned walk emitted nothing for a; the boundary is
 			// unchanged.
 			tick(a, true)
-			return fail(err)
+			return nil, finish(err)
 		}
 		rhs := bitset.New(n)
 		rhs.Add(a)
 		for _, x := range minDeps {
-			if cfg.TopK != nil {
-				cfg.TopK.Admit(dep.FD{LHS: x, RHS: rhs}, d.sizeOf(x))
+			if h.TopK != nil {
+				h.TopK.Admit(dep.FD{LHS: x, RHS: rhs}, d.sizeOf(x))
 			} else {
 				out = append(out, dep.FD{LHS: x, RHS: rhs.Clone()})
 			}
@@ -290,18 +187,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	// Terminal boundary: resuming a post-completion snapshot replays no
 	// walks and re-emits the same cover.
 	tick(n, true)
-	if cfg.TopK != nil {
-		out = cfg.TopK.FDs() // already in ranking order
-	} else {
-		dep.Sort(out)
-	}
-	rs.FDs = int64(len(out))
-	rs.CandidatesValidated = valBase + int64(len(d.errs))
-	rs.PartitionsBuilt = builtBase + prewarmBuilt + int64(len(d.errs))
-	d.pool.FoldShardStats(rs)
-	flushTopK()
-	rs.Finish(nil)
-	return out, rs, nil
+	dep.Sort(out) // empty under top-k: the harness returns the collector's FDs
+	return out, finish(nil)
 }
 
 type dfd struct {
@@ -313,12 +200,11 @@ type dfd struct {
 	budget  *partition.Budget
 	maxViol int
 	g3c     *partition.G3Counter
-	// kern materializes partitions on pool, sharding them across its
-	// workers when it has more than one. It runs under a non-cancellable
-	// context — cancellation is observed at the walk boundaries exactly
-	// as in the serial run — so kernel failures are genuine panics,
-	// re-raised into Run's recovery.
-	pool *engine.Pool
+	// kern materializes partitions on the run's pool, sharding them
+	// across its workers when it has more than one. It runs under a
+	// non-cancellable context — cancellation is observed at the walk
+	// boundaries exactly as in the serial run — so kernel failures are
+	// genuine panics, re-raised into Run's recovery.
 	kern *partition.Kernels
 	pctx context.Context
 }

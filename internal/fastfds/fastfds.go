@@ -27,75 +27,34 @@ import (
 	"repro/internal/sampling"
 )
 
-// Config tunes FastFDs' durability and its negative-cover pass; the
-// cover enumeration itself has no knobs.
-type Config struct {
-	// Workers > 1 builds the negative cover through the sharded pair
-	// scan on a worker pool. The merged agree-set order matches the
-	// serial scan, so the derived difference sets are identical.
-	Workers int
-	// ShardSize is the row-block size of the sharded scan; <= 0 keeps
-	// the default.
-	ShardSize int
-	// Checkpoint, when non-nil, snapshots the difference sets and the
-	// per-RHS cover cursor after the negative cover and after each fully
-	// enumerated attribute, so a killed run resumes without redoing the
-	// O(r²) pair scan. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's FastFDs
-	// frontier. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-}
-
-// Discover returns the left-reduced cover (singleton RHSs) of the FDs
-// holding on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
-}
-
-// DiscoverCtx is Discover with cooperative cancellation.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r)
-	return fds, err
-}
-
-// DiscoverRun is DiscoverCtx emitting the algorithm-agnostic run report.
-// On cancellation the partial report (with Cancelled set) is returned
+// Run discovers the left-reduced cover (singleton RHSs) of the FDs
+// holding on r with FastFDs under env. Above one env.Workers the negative
+// cover runs as the sharded pair scan on the pool (env.ShardSize rows per
+// shard); its merged agree-set order matches the serial scan, so the
+// derived difference sets are identical. The cover enumeration itself has
+// no knobs. env.Checkpoint snapshots the difference sets and the per-RHS
+// cover cursor after the negative cover and after each fully enumerated
+// attribute, so a killed run resumes without redoing the O(r²) pair scan.
+// On cancellation the partial report (Cancelled set) is returned
 // alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{})
+func Run(ctx context.Context, r *relation.Relation, env runstate.Env) ([]dep.FD, *engine.RunStats, error) {
+	h := env.Start("fastfds")
+	return h.Run(func() ([]dep.FD, error) { return discover(ctx, r, h) })
 }
 
-// Run is DiscoverRun with durability options.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rs := engine.NewRunStats("fastfds", workers)
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("fastfds", rec)
-			rs.Finish(perr)
-			retFDs, retRS, retErr = nil, rs, perr
-		}
-	}()
+func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness) ([]dep.FD, error) {
+	rs := h.RS
 	n := r.NumCols()
 	if n == 0 {
-		rs.Finish(nil)
-		return nil, rs, nil
+		return nil, nil
 	}
 
 	var diffSets []bitset.Set
 	var out []dep.FD
-	var err error
 	startAttr := 0
-	if f := resumeFrontier(cfg.Resume); f != nil {
+	if f := resumeFrontier(h.Resume); f != nil {
 		// Continue a checkpointed run: the persisted difference sets make
 		// redoing the O(r²) pair scan unnecessary.
-		cfg.Resume.Stats.Apply(rs)
 		diffSets = f.Diff
 		out = append(out, f.Out...)
 		startAttr = int(f.NextAttr)
@@ -103,19 +62,10 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		rs.NonFDs = f.NonFDs
 	} else {
 		stop := rs.Phase("negative-cover")
-		var neg *sampling.NonFDSet
-		if workers > 1 {
-			pool := engine.NewPool(workers)
-			neg, err = sampling.NegativeCoverSharded(ctx, pool, r, cfg.ShardSize)
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-		} else {
-			neg, err = sampling.NegativeCoverCtx(ctx, r)
-		}
+		neg, err := sampling.NegativeCoverSharded(ctx, h.Pool, r, h.ShardSize)
 		stop()
 		if err != nil {
-			rs.Finish(err)
-			return nil, rs, err
+			return nil, err
 		}
 		nrows := int64(r.NumRows())
 		rs.RowsScanned += nrows * (nrows - 1)
@@ -131,48 +81,41 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 
 	// tick snapshots the cover cursor: attributes below next are fully
 	// enumerated, and the difference sets stand in for the pair scan.
-	// Capturing clones the difference sets, so off-interval boundaries
-	// are skipped unless forced (terminal, cancellation).
 	tick := func(next int, force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.FastFDsFrontier{
-			Version:     1,
-			NextAttr:    int64(next),
-			RowsScanned: rs.RowsScanned,
-			NonFDs:      rs.NonFDs,
-		}
-		for _, d := range diffSets {
-			f.Diff = append(f.Diff, d.Clone())
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats: runstate.StatsSnapOf(rs),
-			// FastFDs holds no PLI cache; the manifest is empty but still
-			// versioned so the decoder accepts it.
-			Manifest: runstate.ManifestSnap{Version: 1},
-			Frontier: runstate.FrontierSnap{Version: 1, FastFDs: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.FastFDsFrontier{
+				Version:     1,
+				NextAttr:    int64(next),
+				RowsScanned: rs.RowsScanned,
+				NonFDs:      rs.NonFDs,
+			}
+			for _, d := range diffSets {
+				f.Diff = append(f.Diff, d.Clone())
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{FastFDs: f}}
 		})
 	}
 
 	stop := rs.Phase("covers")
-	for a := startAttr; a < n && err == nil; a++ {
-		if err = ctx.Err(); err != nil {
+	for a := startAttr; a < n; a++ {
+		if err := ctx.Err(); err != nil {
 			// Attribute a is untouched, so this is still a boundary:
 			// park it for the final Flush and Ctrl-C loses nothing.
 			tick(a, true)
-			break
+			stop()
+			return nil, err
 		}
 		tick(a, false)
-		var covers []bitset.Set
-		if covers, err = coversFor(ctx, n, diffSets, a); err != nil {
+		covers, err := coversFor(ctx, n, diffSets, a)
+		if err != nil {
 			// A cancelled enumeration emitted no covers for a; the
 			// boundary is unchanged.
 			tick(a, true)
-			break
+			stop()
+			return nil, err
 		}
 		rhs := bitset.New(n)
 		rhs.Add(a)
@@ -181,17 +124,11 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		}
 	}
 	stop()
-	if err != nil {
-		rs.Finish(err)
-		return nil, rs, err
-	}
 	// Terminal boundary: resuming a post-completion snapshot enumerates no
 	// covers and re-emits the same cover.
 	tick(n, true)
 	dep.Sort(out)
-	rs.FDs = int64(len(out))
-	rs.Finish(nil)
-	return out, rs, nil
+	return out, nil
 }
 
 // resumeFrontier extracts a snapshot's FastFDs frontier, nil when the run

@@ -1,6 +1,7 @@
 package hyfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,7 +9,19 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dep"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
+
+// discoverFDs runs HyFD with default settings, failing the test on an
+// error.
+func discoverFDs(t testing.TB, r *relation.Relation) []dep.FD {
+	t.Helper()
+	fds, _, err := Run(context.Background(), r, runstate.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fds
+}
 
 func TestDiscoverTiny(t *testing.T) {
 	r := relation.FromCodes(nil, [][]int32{
@@ -16,7 +29,7 @@ func TestDiscoverTiny(t *testing.T) {
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -30,7 +43,7 @@ func TestDiscoverConstantAndKey(t *testing.T) {
 		{0, 1, 2, 3}, // key
 		{1, 1, 2, 2},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -39,11 +52,11 @@ func TestDiscoverConstantAndKey(t *testing.T) {
 }
 
 func TestDiscoverEmptyAndDegenerate(t *testing.T) {
-	if got := Discover(relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
+	if got := discoverFDs(t, relation.FromCodes(nil, nil, nil, relation.NullEqNull)); len(got) != 0 {
 		t.Errorf("no columns: %v", got)
 	}
 	one := relation.FromCodes(nil, [][]int32{{0}}, nil, relation.NullEqNull)
-	got := Discover(one)
+	got := discoverFDs(t, one)
 	if len(got) != 1 || got[0].LHS.Count() != 0 {
 		t.Errorf("single row: %v", got)
 	}
@@ -56,7 +69,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		cols := 2 + rng.Intn(6)
 		card := 1 + rng.Intn(4)
 		r := dataset.Random(rng, rows, cols, card)
-		got := Discover(r)
+		got := discoverFDs(t, r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -70,7 +83,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 15; trial++ {
 		r := dataset.RandomMixed(rng, 20+rng.Intn(80), 3+rng.Intn(5))
-		got := Discover(r)
+		got := discoverFDs(t, r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -91,38 +104,43 @@ func TestStatsPopulated(t *testing.T) {
 			{Kind: dataset.Derived, Deps: []int{0, 1}, Card: 40},
 		},
 	})
-	fds, stats := DiscoverWithConfig(r, DefaultConfig())
-	if stats.FDs != len(fds) {
+	fds, stats, err := Run(context.Background(), r, runstate.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FDs != int64(len(fds)) {
 		t.Errorf("stats.FDs = %d, len = %d", stats.FDs, len(fds))
 	}
-	if stats.SamplingRounds == 0 || stats.Comparisons == 0 {
+	if stats.Counters["sampling_rounds"] == 0 || stats.Counters["sampling_comparisons"] == 0 {
 		t.Errorf("sampling stats empty: %+v", stats)
 	}
-	if stats.Validations == 0 || stats.Levels == 0 {
+	if stats.CandidatesValidated == 0 || stats.Levels == 0 {
 		t.Errorf("validation stats empty: %+v", stats)
 	}
-	if stats.Invalidated > stats.Validations {
-		t.Errorf("invalidated %d > validations %d", stats.Invalidated, stats.Validations)
+	if stats.Invalidated > stats.CandidatesValidated {
+		t.Errorf("invalidated %d > validations %d", stats.Invalidated, stats.CandidatesValidated)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	var cfg Config
-	cfg.fillDefaults()
-	if cfg.InvalidSwitchRatio != 0.01 || cfg.SamplingEfficiency != 0.01 {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if InvalidSwitchRatio != 0.01 || SamplingEfficiency != 0.01 {
+		t.Errorf("defaults wrong: switch ratio %v, sampling efficiency %v", InvalidSwitchRatio, SamplingEfficiency)
 	}
-	// Extreme configs must not affect correctness, only performance.
+	// Extreme thresholds must not affect correctness, only performance.
 	rng := rand.New(rand.NewSource(44))
 	r := dataset.Random(rng, 30, 4, 3)
 	want := brute.MinimalFDs(r)
-	for _, cfg := range []Config{
-		{InvalidSwitchRatio: 1e9, SamplingEfficiency: 1e9}, // never sample again
-		{InvalidSwitchRatio: 1e-9, SamplingEfficiency: 1e-9},
+	for _, th := range []float64{
+		1e9, // never sample again
+		1e-9,
 	} {
-		got, _ := DiscoverWithConfig(r, cfg)
+		h := runstate.Env{}.Start("hyfd")
+		got, _, err := h.Run(func() ([]dep.FD, error) { return discover(context.Background(), r, h, th, th) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !dep.Equal(got, want) {
-			t.Errorf("config %+v changes results", cfg)
+			t.Errorf("thresholds %v change results", th)
 		}
 	}
 }

@@ -5,12 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/fdep"
-	"repro/internal/hyfd"
+	"repro/internal/runstate"
 	"repro/internal/sampling"
-	"repro/internal/tane"
 )
 
 // TestCancellationSurfacesEverywhere: every algorithm must return promptly
@@ -22,19 +19,10 @@ func TestCancellationSurfacesEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := dataset.Random(rng, 80, 6, 3)
 
-	if _, err := tane.DiscoverCtx(ctx, r); err == nil {
-		t.Error("tane ignored cancellation")
-	}
-	for _, v := range []fdep.Variant{fdep.Classic, fdep.NonRedundant, fdep.Sorted} {
-		if _, err := fdep.DiscoverCtx(ctx, r, v); err == nil {
-			t.Errorf("fdep %v ignored cancellation", v)
+	for _, name := range []string{"tane", "fdep", "fdep1", "fdep2", "hyfd", "dhyfd"} {
+		if _, _, err := run(ctx, name, r, runstate.Env{}); err == nil {
+			t.Errorf("%s ignored cancellation", name)
 		}
-	}
-	if _, _, err := hyfd.DiscoverCtx(ctx, r, hyfd.DefaultConfig()); err == nil {
-		t.Error("hyfd ignored cancellation")
-	}
-	if _, _, err := core.DiscoverCtx(ctx, r, core.DefaultConfig()); err == nil {
-		t.Error("dhyfd ignored cancellation")
 	}
 	if _, err := sampling.NegativeCoverCtx(ctx, r); err == nil {
 		t.Error("negative cover ignored cancellation")
@@ -47,7 +35,7 @@ func TestParallelCancellation(t *testing.T) {
 	cancel()
 	b, _ := dataset.ByName("ncvoter")
 	r := b.Generate(300, 12)
-	if _, _, err := core.DiscoverCtx(ctx, r, core.Config{Ratio: 3, Workers: 4}); err == nil {
+	if _, _, err := run(ctx, "dhyfd", r, runstate.Env{Workers: 4}); err == nil {
 		t.Error("parallel dhyfd ignored cancellation")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/dep"
 	"repro/internal/relation"
-	"repro/internal/tane"
+	"repro/internal/runstate"
 )
 
 // FuzzDiscoverSmall throws arbitrary tiny relations at the full Discover
@@ -45,7 +45,7 @@ func FuzzDiscoverSmall(f *testing.F) {
 				t.Fatalf("unsound FD %v on %d×%d relation", fd.Format(rel.Names), rows, cols)
 			}
 		}
-		want, _, err := tane.DiscoverRun(context.Background(), rel, 0)
+		want, _, err := run(context.Background(), "tane", rel, runstate.Env{})
 		if err != nil {
 			t.Fatalf("tane failed: %v", err)
 		}

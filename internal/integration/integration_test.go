@@ -4,38 +4,48 @@
 package integration
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/brute"
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
-	"repro/internal/dfd"
-	"repro/internal/fastfds"
-	"repro/internal/fdep"
-	"repro/internal/hyfd"
+	"repro/internal/driver"
+	"repro/internal/engine"
 	"repro/internal/ranking"
 	"repro/internal/relation"
-	"repro/internal/tane"
+	"repro/internal/runstate"
 )
 
-// discoverAll runs all six algorithms and fails the test if any pair
+// run runs the named algorithm of the algorithm table under env.
+func run(ctx context.Context, name string, r *relation.Relation, env runstate.Env) ([]dep.FD, *engine.RunStats, error) {
+	i, ok := driver.Lookup(name)
+	if !ok {
+		panic("unknown algorithm " + name)
+	}
+	return driver.Table[i].Run(ctx, r, env, 0)
+}
+
+// coverOf runs the named algorithm with default settings, failing the
+// test on an error.
+func coverOf(t *testing.T, name string, r *relation.Relation) []dep.FD {
+	t.Helper()
+	fds, _, err := run(context.Background(), name, r, runstate.Env{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return fds
+}
+
+// discoverAll runs every algorithm and fails the test if any pair
 // disagrees. Returns the agreed left-reduced cover.
 func discoverAll(t *testing.T, name string, r *relation.Relation) []dep.FD {
 	t.Helper()
-	base := core.Discover(r)
-	checks := map[string][]dep.FD{
-		"hyfd":    hyfd.Discover(r),
-		"tane":    tane.Discover(r),
-		"fdep":    fdep.Discover(r, fdep.Classic),
-		"fdep1":   fdep.Discover(r, fdep.NonRedundant),
-		"fdep2":   fdep.Discover(r, fdep.Sorted),
-		"fastfds": fastfds.Discover(r),
-		"dfd":     dfd.Discover(r),
-	}
-	for algo, fds := range checks {
+	base := coverOf(t, "dhyfd", r)
+	for _, algo := range []string{"hyfd", "tane", "fdep", "fdep1", "fdep2", "fastfds", "dfd"} {
+		fds := coverOf(t, algo, r)
 		if !dep.Equal(base, fds) {
 			only, other := dep.Diff(base, fds, r.Names)
 			t.Fatalf("%s: dhyfd vs %s disagree.\nonly dhyfd: %v\nonly %s: %v",
@@ -107,7 +117,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		r := b.GenerateDefault()
 		n := r.NumCols()
 
-		lr := core.Discover(r)
+		lr := coverOf(t, "dhyfd", r)
 		can := cover.Canonical(n, lr)
 
 		if !cover.Equivalent(n, lr, can) {
@@ -154,8 +164,8 @@ func TestFragmentMonotonicity(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	full := b.Generate(400, 10)
 	frag := full.Head(150)
-	fullCover := core.Discover(full)
-	fragCover := core.Discover(frag)
+	fullCover := coverOf(t, "dhyfd", full)
+	fragCover := coverOf(t, "dhyfd", frag)
 	nf := full.NumCols()
 	e := cover.NewEngine(nf, fragCover)
 	for _, f := range fullCover {

@@ -7,15 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dep"
-	"repro/internal/dfd"
-	"repro/internal/engine"
-	"repro/internal/fastfds"
-	"repro/internal/fdep"
-	"repro/internal/hyfd"
-	"repro/internal/tane"
+	"repro/internal/runstate"
 )
 
 // TestParallelCoversMatchSerial: the worker-pool width must never change
@@ -42,7 +36,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 
 		var want []dep.FD
 		for _, w := range widths {
-			got, _, err := core.DiscoverRun(ctx, r, core.Config{Workers: w})
+			got, _, err := run(ctx, "dhyfd", r, runstate.Env{Workers: w})
 			if err != nil {
 				t.Fatalf("%s dhyfd workers=%d: %v", fx.name, w, err)
 			}
@@ -53,7 +47,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 			}
 		}
 		for _, w := range widths {
-			got, _, err := hyfd.DiscoverRun(ctx, r, hyfd.Config{Workers: w})
+			got, _, err := run(ctx, "hyfd", r, runstate.Env{Workers: w})
 			if err != nil {
 				t.Fatalf("%s hyfd workers=%d: %v", fx.name, w, err)
 			}
@@ -62,7 +56,7 @@ func TestParallelCoversMatchSerial(t *testing.T) {
 			}
 		}
 		for _, w := range widths {
-			got, _, err := tane.DiscoverRun(ctx, r, w)
+			got, _, err := run(ctx, "tane", r, runstate.Env{Workers: w})
 			if err != nil {
 				t.Fatalf("%s tane workers=%d: %v", fx.name, w, err)
 			}
@@ -80,18 +74,8 @@ func TestRunStatsPopulated(t *testing.T) {
 	r := dataset.Random(rng, 200, 7, 4)
 	ctx := context.Background()
 
-	runs := map[string]func() ([]dep.FD, *engine.RunStats, error){
-		"dhyfd":   func() ([]dep.FD, *engine.RunStats, error) { return core.DiscoverRun(ctx, r, core.DefaultConfig()) },
-		"hyfd":    func() ([]dep.FD, *engine.RunStats, error) { return hyfd.DiscoverRun(ctx, r, hyfd.DefaultConfig()) },
-		"tane":    func() ([]dep.FD, *engine.RunStats, error) { return tane.DiscoverRun(ctx, r, 1) },
-		"fdep":    func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.Classic) },
-		"fdep1":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.NonRedundant) },
-		"fdep2":   func() ([]dep.FD, *engine.RunStats, error) { return fdep.DiscoverRun(ctx, r, fdep.Sorted) },
-		"fastfds": func() ([]dep.FD, *engine.RunStats, error) { return fastfds.DiscoverRun(ctx, r) },
-		"dfd":     func() ([]dep.FD, *engine.RunStats, error) { return dfd.DiscoverRun(ctx, r) },
-	}
-	for name, run := range runs {
-		fds, rs, err := run()
+	for _, name := range []string{"dhyfd", "hyfd", "tane", "fdep", "fdep1", "fdep2", "fastfds", "dfd"} {
+		fds, rs, err := run(ctx, name, r, runstate.Env{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -134,37 +118,22 @@ func TestMidRunCancellationIsPrompt(t *testing.T) {
 	r := b.Generate(1500, 20)
 
 	full := time.Now()
-	if _, _, err := core.DiscoverRun(context.Background(), r, core.Config{Workers: 2}); err != nil {
+	if _, _, err := run(context.Background(), "dhyfd", r, runstate.Env{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	fullElapsed := time.Since(full)
-
-	runs := map[string]func(ctx context.Context) (*engine.RunStats, error){
-		"dhyfd": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := core.DiscoverRun(ctx, r, core.Config{Workers: 2})
-			return rs, err
-		},
-		"hyfd": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := hyfd.DiscoverRun(ctx, r, hyfd.Config{Workers: 2})
-			return rs, err
-		},
-		"tane": func(ctx context.Context) (*engine.RunStats, error) {
-			_, rs, err := tane.DiscoverRun(ctx, r, 2)
-			return rs, err
-		},
-	}
 	// A cancelled run must finish well before a full one; the margin keeps
 	// the test robust on slow CI machines while still catching a run that
 	// ignores ctx until the end.
 	bound := fullElapsed/2 + 250*time.Millisecond
-	for name, run := range runs {
+	for _, name := range []string{"dhyfd", "hyfd", "tane"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(5 * time.Millisecond)
 			cancel()
 		}()
 		start := time.Now()
-		rs, err := run(ctx)
+		_, rs, err := run(ctx, name, r, runstate.Env{Workers: 2})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.Canceled) {

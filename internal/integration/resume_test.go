@@ -293,16 +293,19 @@ func TestRetryAbsorbsTransientFault(t *testing.T) {
 	r := dataset.Random(rng, 300, 7, 4)
 	ctx := context.Background()
 
-	for _, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE} {
+	// 64-row shards put every driver's sharded kernels on the pool at 300
+	// rows — DFD's materializations and FastFDs' pair scan run there only —
+	// so the armed worker fault reaches each algorithm.
+	for _, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD, dhyfd.TANE, dhyfd.DFD, dhyfd.FastFDs} {
 		t.Run(a.String(), func(t *testing.T) {
-			base, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(4))
+			base, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(4), dhyfd.WithShardSize(64))
 			if err != nil {
 				t.Fatalf("fault-free run: %v", err)
 			}
 			defer faults.Reset()
 			faults.Arm(faults.EngineWorker, faults.Plan{Kind: faults.KindPanic, N: 3})
 			res, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithWorkers(4),
-				dhyfd.WithRetries(2))
+				dhyfd.WithShardSize(64), dhyfd.WithRetries(2))
 			fired := !faults.Armed(faults.EngineWorker)
 			if err != nil {
 				t.Fatalf("retry did not absorb the transient fault: %v", err)
@@ -310,13 +313,14 @@ func TestRetryAbsorbsTransientFault(t *testing.T) {
 			if !dep.Equal(res.FDs, base.FDs) {
 				t.Fatal("retried run changed the cover")
 			}
-			if fired {
-				if res.Stats.Counters["retries"] == 0 {
-					t.Error("fault fired but no retries reported")
-				}
-				if res.Stats.Counters["attempts"] == 0 {
-					t.Error("retry layer active but no attempts reported")
-				}
+			if !fired {
+				t.Fatal("the armed worker fault never reached the pool")
+			}
+			if res.Stats.Counters["retries"] == 0 {
+				t.Error("fault fired but no retries reported")
+			}
+			if res.Stats.Counters["attempts"] == 0 {
+				t.Error("retry layer active but no attempts reported")
 			}
 		})
 	}

@@ -66,7 +66,13 @@ func TestBuildExcludedForIgnoreAndLegacy(t *testing.T) {
 			t.Errorf("GOOS=%s: //go:build ignore file should be excluded", goos)
 		}
 	}
-	legacy := parseFixtureFile(t, "legacy.go")
+	// The legacy constraint is parsed from a literal: a file on disk with
+	// only a // +build line fails gofmt, which wants a //go:build line.
+	fset := token.NewFileSet()
+	legacy, err := parser.ParseFile(fset, "legacy.go", "// +build linux darwin\n\npackage lib\n", parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if buildExcludedFor(legacy, tagEnv("linux")) {
 		t.Error("legacy +build linux darwin file should be included on linux")
 	}

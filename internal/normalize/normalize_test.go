@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,20 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/relation"
+	"repro/internal/runstate"
 )
+
+// leftReduced runs DHyFD with default settings, failing the test on an
+// error.
+func leftReduced(t testing.TB, r *relation.Relation) []dep.FD {
+	t.Helper()
+	fds, _, err := core.Run(context.Background(), r, runstate.Env{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fds
+}
 
 func fd(n int, lhs []int, rhs ...int) dep.FD {
 	return dep.FD{LHS: bitset.FromAttrs(n, lhs...), RHS: bitset.FromAttrs(n, rhs...)}
@@ -181,7 +195,7 @@ func TestOnDiscoveredCover(t *testing.T) {
 	b, _ := dataset.ByName("ncvoter")
 	r := b.Generate(300, 10)
 	n := r.NumCols()
-	can := cover.Canonical(n, core.Discover(r))
+	can := cover.Canonical(n, leftReduced(t, r))
 
 	keys := CandidateKeys(n, can, 32)
 	if len(keys) == 0 {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/ranking"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
 
 // ValueCount is one entry of a column's most-frequent-values list.
@@ -112,7 +113,7 @@ func ProfileCtx(ctx context.Context, r *relation.Relation, opts Options) (*Repor
 	// Discovery, cover, ranking.
 	dstart := time.Now()
 	cache := partition.NewCache(opts.CacheBytes, nil)
-	lr, rs, err := core.DiscoverRun(ctx, r, core.Config{Workers: opts.Workers, Cache: cache})
+	lr, rs, err := core.Run(ctx, r, runstate.Env{Workers: opts.Workers, Cache: cache}, 0)
 	rep.DiscoveryTime = time.Since(dstart)
 	rep.Run = rs
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/dep"
@@ -40,7 +39,7 @@ func coverOf(b *testing.B, name string, rows, cols int) *coverFixture {
 		b.Fatal(err)
 	}
 	r := bm.Generate(rows, cols)
-	f := &coverFixture{r: r, can: cover.Canonical(r.NumCols(), core.Discover(r))}
+	f := &coverFixture{r: r, can: cover.Canonical(r.NumCols(), leftReduced(b, r))}
 	fixtures[key] = f
 	return f
 }

@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,19 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dep"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
+
+// leftReduced runs DHyFD with default settings, failing the test on an
+// error.
+func leftReduced(t testing.TB, r *relation.Relation) []dep.FD {
+	t.Helper()
+	fds, _, err := core.Run(context.Background(), r, runstate.Env{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fds
+}
 
 // Column indexes of the ncvoter snippet.
 const (
@@ -162,7 +175,7 @@ func TestTotalsOnDiscoveredCover(t *testing.T) {
 	// whole column redundant.
 	rng := rand.New(rand.NewSource(62))
 	r := dataset.Random(rng, 30, 4, 2)
-	fds := core.Discover(r)
+	fds := leftReduced(t, r)
 	can := cover.Canonical(r.NumCols(), fds)
 	tot := Totals(r, can)
 	if tot.Values != 120 {

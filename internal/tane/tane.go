@@ -28,11 +28,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/runstate"
-	"repro/internal/topk"
 )
-
-// manifestMax caps how many PLI-cache keys a checkpoint snapshot records.
-const manifestMax = 64
 
 type candidate struct {
 	set   bitset.Set
@@ -43,140 +39,42 @@ type candidate struct {
 	dead  bool // pruned, but cplus stays queryable for the key-pruning rule
 }
 
-// Discover returns the left-reduced cover (singleton RHSs, minimal LHSs)
-// of the FDs that hold on r.
-func Discover(r *relation.Relation) []dep.FD {
-	//fdvet:ignore ctxflow ctx-less convenience wrapper; DiscoverCtx is the primary API until=PR20
-	fds, _ := DiscoverCtx(context.Background(), r)
-	return fds
+// Run discovers the left-reduced cover (singleton RHSs, minimal LHSs) of
+// the FDs holding on r with TANE under env. env.Workers widens the
+// per-level PLI products. TANE's characteristic cost is whole lattice
+// levels of partitions resident at once: on env.Budget exhaustion the
+// current level finishes validating and deeper levels are abandoned — the
+// FDs certified so far are each individually valid, so the partial cover
+// is sound — flagged Degraded. Under env.TopK the PRUNE phase also kills
+// candidates whose subtree cannot beat the admission threshold (the bound
+// is the largest co-atom partition size, an upper bound on any
+// specializing FD's score). A positive env.MaxViolations relaxes the
+// validity test from e(X) == e(XA) to the g3 bound and keeps only the C+
+// removals monotonicity justifies (the R∖X rule relies on exact-FD
+// transitivity). env.Checkpoint snapshots the lattice frontier at every
+// level boundary. On cancellation — observed at level boundaries, since
+// TANE's levels can hold gigabytes of partitions — the partial report
+// (Cancelled set) is returned alongside ctx's error.
+func Run(ctx context.Context, r *relation.Relation, env runstate.Env) ([]dep.FD, *engine.RunStats, error) {
+	h := env.Start("tane")
+	return h.Run(func() ([]dep.FD, error) { return discover(ctx, r, h) })
 }
 
-// DiscoverCtx is Discover with cooperative cancellation: lattice levels
-// are abandoned promptly once ctx is done, returning ctx's error. TANE's
-// levels can hold gigabytes of partitions, so cancellation matters for
-// time-limited benchmark drivers.
-func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]dep.FD, error) {
-	fds, _, err := DiscoverRun(ctx, r, 1)
-	return fds, err
-}
-
-// Config tunes TANE.
-type Config struct {
-	// Workers is the pool width for the per-level PLI products.
-	Workers int
-	// ShardSize is the row-block size of the sharded single-attribute
-	// partition bootstrap: columns longer than one shard group and merge
-	// on the worker pool instead of serially. <= 0 selects
-	// partition.DefaultShardSize.
-	ShardSize int
-	// Budget optionally bounds partition memory — TANE's characteristic
-	// cost is whole lattice levels of partitions resident at once. On
-	// exhaustion the current level finishes validating and deeper levels
-	// are abandoned: the run returns the FDs certified so far (each
-	// individually valid, so the partial cover is sound) flagged
-	// Degraded. Nil means unlimited.
-	Budget *partition.Budget
-	// Cache optionally shares stripped partitions across the run (and
-	// across runs over the same relation): singles and level partitions
-	// are looked up before being built and published after. Nil disables
-	// caching.
-	Cache *partition.Cache
-	// TopK, when non-nil, fuses redundancy-ranked top-k selection into
-	// the traversal: valid FDs are offered to the collector scored by
-	// ‖π_LHS‖, and the PRUNE phase additionally kills candidates whose
-	// subtree cannot beat the collector's admission threshold (the bound
-	// is the largest co-atom partition size, an upper bound on any
-	// specializing FD's score). The run then returns the collector's FDs
-	// in ranking order instead of the full cover.
-	TopK *topk.Collector
-	// MaxViolations relaxes the validity test from e(X) == e(XA) to the
-	// g3-style bound: X → A counts as valid when at most MaxViolations
-	// rows must be deleted for it to hold exactly. 0 keeps exact
-	// discovery. Approximate runs keep only C+ removals justified by
-	// monotonicity (the R∖X removal rule relies on exact-FD transitivity
-	// and is skipped), trading extra validations for soundness.
-	MaxViolations int
-	// Checkpoint, when non-nil, snapshots the lattice frontier at every
-	// level boundary so a killed run can resume. Nil disables durability.
-	Checkpoint *runstate.Checkpointer
-	// Resume, when non-nil, seeds the run from a snapshot's TANE frontier
-	// instead of level 1. The caller has already fingerprint-matched it.
-	Resume *runstate.Snapshot
-	// Retries bounds supervised re-runs of transiently failed pool items
-	// (capped exponential backoff with full jitter). 0 disables retries.
-	Retries int
-}
-
-// DiscoverRun runs TANE with the given worker-pool width for its PLI
-// products and emits the algorithm-agnostic run report. On
-// cancellation the partial report (with Cancelled set) is returned
-// alongside ctx's error.
-func DiscoverRun(ctx context.Context, r *relation.Relation, workers int) ([]dep.FD, *engine.RunStats, error) {
-	return Run(ctx, r, Config{Workers: workers})
-}
-
-// Run is DiscoverRun with full tuning, including a partition budget.
-func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD, retRS *engine.RunStats, retErr error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rs := engine.NewRunStats("tane", workers)
-	pool := engine.NewPoolRetry(workers, engine.RetryPolicy{Max: cfg.Retries})
-	kern := partition.NewKernels(pool, cfg.ShardSize, cfg.Cache)
+func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness) ([]dep.FD, error) {
+	rs := h.RS
+	kern := partition.NewKernels(h.Pool, h.ShardSize, h.Cache)
 	// The key-FD minimality checks run mid-level; cancellation is observed
 	// at level boundaries, so only a kernel failure can stop them.
 	keyCtx := context.WithoutCancel(ctx)
-	if cfg.Resume != nil {
-		// Seed the report with the checkpointed run's accumulated phases,
-		// elapsed time and cache-traffic bases; the additive flushes below
-		// then report the logical run's cumulative cost.
-		cfg.Resume.Stats.Apply(rs)
-	}
-	cache0 := cfg.Cache.Stats()
-	flushCacheStats := func() {
-		d := cfg.Cache.Stats().Delta(cache0)
-		rs.CacheHits += d.Hits
-		rs.CacheMisses += d.Misses
-		rs.CacheEvictions += d.Evictions
-	}
-	flushTopK := func() {
-		if cfg.TopK == nil {
-			return
-		}
-		admitted, rejected, pruned := cfg.TopK.Counters()
-		rs.Count("topk_admitted", admitted)
-		rs.Count("topk_rejected", rejected)
-		rs.Count("topk_pruned_branches", pruned)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := engine.NewPanicError("tane", rec)
-			flushTopK()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(perr)
-			// Under top-k the heap holds individually validated FDs: a
-			// sound partial result even after a panic.
-			var partial []dep.FD
-			if cfg.TopK != nil {
-				partial = cfg.TopK.FDs()
-				rs.FDs = int64(len(partial))
-			}
-			retFDs, retRS, retErr = partial, rs, perr
-		}
-	}()
 	n := r.NumCols()
 	var out []dep.FD
 	if n == 0 {
-		rs.Finish(nil)
-		return out, rs, nil
+		return out, nil
 	}
 	nrows := r.NumRows()
 
 	var g3c *partition.G3Counter
-	if cfg.MaxViolations > 0 {
+	if h.MaxViolations > 0 {
 		g3c = partition.NewG3Counter(0)
 	}
 
@@ -201,7 +99,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		if err != nil {
 			return nil, err
 		}
-		cfg.Budget.ChargeBytes(partition.Cost(p))
+		h.Budget.ChargeBytes(partition.Cost(p))
 		return p, nil
 	}
 
@@ -213,8 +111,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 	var prevRecs []runstate.TanePrevRec
 
 	stop := rs.Phase("build")
-	cfg.Budget.Charge(emptyPart)
-	if f := resumeFrontier(cfg.Resume); f != nil {
+	h.Budget.Charge(emptyPart)
+	if f := resumeFrontier(h.Resume); f != nil {
 		// Continue a checkpointed run: restore the emitted FDs, the counter
 		// bases (TANE accumulates with +=, so assigning seeds them exactly),
 		// the previous level's error table and the live candidates;
@@ -226,24 +124,17 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		rs.CandidatesValidated = f.CandidatesValidated
 		rs.Invalidated = f.Invalidated
 		out = append(out, f.Out...)
-		runstate.WarmCache(ctx, cfg.Cache, cfg.Resume.Manifest, r.Cols, r.Cards)
+		h.Warm(ctx, r)
 		prevErr = make(map[string]int, len(f.Prev))
 		prevPart = make(map[string]*partition.Partition, len(f.Prev))
 		prevRecs = f.Prev
-		failRestore := func(err error) ([]dep.FD, *engine.RunStats, error) {
-			stop()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(err)
-			return nil, rs, err
-		}
 		for _, rec := range f.Prev {
 			k := rec.Set.Key()
 			prevErr[k] = int(rec.Err)
 			p, err := partitionForSet(rec.Set)
 			if err != nil {
-				return failRestore(err)
+				stop()
+				return nil, err
 			}
 			prevPart[k] = p
 		}
@@ -251,7 +142,8 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		for _, rec := range f.Cands {
 			p, err := partitionForSet(rec.Set)
 			if err != nil {
-				return failRestore(err)
+				stop()
+				return nil, err
 			}
 			level = append(level, &candidate{
 				set:   rec.Set,
@@ -270,15 +162,11 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		// The sharded bootstrap charges the budget exactly as the old
 		// per-column loop did: cache hits as resident bytes, fresh builds
 		// as materialized partitions.
-		parts, built, err := kern.Singles(ctx, r.Cols, r.Cards, cfg.Budget)
+		parts, built, err := kern.Singles(ctx, r.Cols, r.Cards, h.Budget)
 		rs.PartitionsBuilt += int64(built)
 		if err != nil {
 			stop()
-			flushCacheStats()
-			pool.FoldRetryStats(rs)
-			pool.FoldShardStats(rs)
-			rs.Finish(err)
-			return nil, rs, err
+			return nil, err
 		}
 		level = make([]*candidate, 0, n)
 		for a := 0; a < n; a++ {
@@ -296,65 +184,34 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 
 	// tick snapshots the level boundary: FDs emitted so far, the live
 	// candidates, the previous level's error table, and the counters. A
-	// resumed run re-enters the main loop exactly here. Capturing clones
-	// the candidate sets, so off-interval boundaries are skipped unless
-	// forced (terminal, loop-top cancellation).
+	// resumed run re-enters the main loop exactly here.
 	tick := func(force bool) {
-		if cfg.Checkpoint == nil || (!force && !cfg.Checkpoint.Due()) {
-			return
-		}
-		f := &runstate.TaneFrontier{
-			Version:             1,
-			Levels:              rs.Levels,
-			RowsScanned:         rs.RowsScanned,
-			PartitionsBuilt:     rs.PartitionsBuilt,
-			PartitionsRefined:   rs.PartitionsRefined,
-			CandidatesValidated: rs.CandidatesValidated,
-			Invalidated:         rs.Invalidated,
-		}
-		for _, fd := range out {
-			f.Out = append(f.Out, fd.Clone())
-		}
-		for _, c := range level {
-			f.Cands = append(f.Cands, runstate.TaneCandRec{
-				Set:   c.set.Clone(),
-				CPlus: c.cplus.Clone(),
-				Err:   int64(c.err),
-				Dead:  c.dead,
-			})
-		}
-		for _, rec := range prevRecs {
-			f.Prev = append(f.Prev, runstate.TanePrevRec{Set: rec.Set.Clone(), Err: rec.Err})
-		}
-		st := runstate.StatsSnapOf(rs)
-		d := cfg.Cache.Stats().Delta(cache0)
-		st.CacheHits = rs.CacheHits + d.Hits
-		st.CacheMisses = rs.CacheMisses + d.Misses
-		st.CacheEvicts = rs.CacheEvictions + d.Evictions
-		_ = cfg.Checkpoint.Tick(&runstate.Snapshot{
-			Stats:    st,
-			TopK:     runstate.TopKSnapOf(cfg.TopK),
-			Manifest: runstate.ManifestOf(cfg.Cache, manifestMax),
-			Frontier: runstate.FrontierSnap{Version: 1, Tane: f},
+		h.Tick(force, func() *runstate.Snapshot {
+			f := &runstate.TaneFrontier{
+				Version:             1,
+				Levels:              rs.Levels,
+				RowsScanned:         rs.RowsScanned,
+				PartitionsBuilt:     rs.PartitionsBuilt,
+				PartitionsRefined:   rs.PartitionsRefined,
+				CandidatesValidated: rs.CandidatesValidated,
+				Invalidated:         rs.Invalidated,
+			}
+			for _, fd := range out {
+				f.Out = append(f.Out, fd.Clone())
+			}
+			for _, c := range level {
+				f.Cands = append(f.Cands, runstate.TaneCandRec{
+					Set:   c.set.Clone(),
+					CPlus: c.cplus.Clone(),
+					Err:   int64(c.err),
+					Dead:  c.dead,
+				})
+			}
+			for _, rec := range prevRecs {
+				f.Prev = append(f.Prev, runstate.TanePrevRec{Set: rec.Set.Clone(), Err: rec.Err})
+			}
+			return &runstate.Snapshot{Frontier: runstate.FrontierSnap{Tane: f}}
 		})
-	}
-
-	fail := func(err error) ([]dep.FD, *engine.RunStats, error) {
-		if cfg.TopK != nil {
-			// The heap's FDs were each individually validated: return them
-			// as a sound partial top-k alongside the error.
-			out = cfg.TopK.FDs()
-		}
-		rs.FDs = int64(len(out))
-		flushTopK()
-		flushCacheStats()
-		pool.FoldRetryStats(rs)
-		pool.FoldShardStats(rs)
-		rs.Finish(err)
-		if cfg.TopK != nil {
-			return out, rs, err
-		}
-		return nil, rs, err
 	}
 
 	for len(level) > 0 {
@@ -362,7 +219,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// The level is untouched, so this is still a boundary: park
 			// it for the final Flush and Ctrl-C loses nothing.
 			tick(true)
-			return fail(err)
+			return nil, err
 		}
 		tick(false)
 		rs.Levels++
@@ -393,23 +250,23 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 				}
 				rs.CandidatesValidated++
 				valid := false
-				if cfg.MaxViolations > 0 {
+				if h.MaxViolations > 0 {
 					pRest := prevPart[restKey]
 					rs.RowsScanned += int64(pRest.Size())
-					valid = g3c.Violations(pRest, r.Cols[a], r.Cards[a], cfg.MaxViolations) <= cfg.MaxViolations
+					valid = g3c.Violations(pRest, r.Cols[a], r.Cards[a], h.MaxViolations) <= h.MaxViolations
 				} else {
 					valid = restErr == c.err
 				}
 				if valid {
 					rhs := bitset.New(n)
 					rhs.Add(a)
-					if cfg.TopK != nil {
-						cfg.TopK.Admit(dep.FD{LHS: rest, RHS: rhs}, prevPart[restKey].Size())
+					if h.TopK != nil {
+						h.TopK.Admit(dep.FD{LHS: rest, RHS: rhs}, prevPart[restKey].Size())
 					} else {
 						out = append(out, dep.FD{LHS: rest, RHS: rhs})
 					}
 					c.cplus.Remove(a)
-					if cfg.MaxViolations == 0 {
+					if h.MaxViolations == 0 {
 						// Remove all B ∈ R∖X from C+(X). The rule's proof
 						// needs exact-FD transitivity, so approximate runs
 						// keep only the Remove above.
@@ -434,20 +291,20 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 			// approximate FD can live under a node containing an exact key.
 			// Approximate runs keep superkey nodes alive; their FDs surface
 			// through the ordinary C+-gated validation of child nodes.
-			if cfg.MaxViolations == 0 && c.part.IsUnique() { // X is a (super)key
+			if h.MaxViolations == 0 && c.part.IsUnique() { // X is a (super)key
 				outside := c.cplus.Difference(c.set)
 				for a := outside.Next(0); a >= 0; a = outside.Next(a + 1) {
 					minimal, err := keyFDMinimal(keyCtx, kern, r, c, a, prevErr, prevPart, rs)
 					if err != nil {
 						stop()
-						return fail(err)
+						return nil, err
 					}
 					if minimal {
 						rhs := bitset.New(n)
 						rhs.Add(a)
-						if cfg.TopK != nil {
+						if h.TopK != nil {
 							// Superkey LHSs pin no rows: ‖π_X‖ = 0.
-							cfg.TopK.Admit(dep.FD{LHS: c.set.Clone(), RHS: rhs}, c.part.Size())
+							h.TopK.Admit(dep.FD{LHS: c.set.Clone(), RHS: rhs}, c.part.Size())
 						} else {
 							out = append(out, dep.FD{LHS: c.set.Clone(), RHS: rhs})
 						}
@@ -455,7 +312,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 				}
 				c.dead = true
 			}
-			if cfg.TopK != nil && !c.dead {
+			if h.TopK != nil && !c.dead {
 				// Any FD specializing X has an LHS containing X or one of
 				// its co-atoms, so its score is at most the largest co-atom
 				// partition size. All co-atoms are present in prevPart —
@@ -472,7 +329,7 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 					}
 					rest.Add(b)
 				}
-				if cfg.TopK.Prunable(bound) {
+				if h.TopK.Prunable(bound) {
 					c.dead = true
 				}
 			}
@@ -484,45 +341,35 @@ func Run(ctx context.Context, r *relation.Relation, cfg Config) (retFDs []dep.FD
 		// validated is complete, deeper levels are abandoned, and the FDs
 		// certified so far stand on their own (each passed the error
 		// test), so the partial cover is sound.
-		if cfg.Budget.Exhausted() {
-			rs.Degrade(cfg.Budget.Reason() + "; deeper lattice levels abandoned")
+		if h.Budget.Exhausted() {
+			rs.Degrade(h.Budget.Reason() + "; deeper lattice levels abandoned")
 			break
 		}
 
 		stop = rs.Phase("generate")
-		next, err := nextLevel(ctx, kern, r, level, curCPlus, rs, &cfg)
+		next, err := nextLevel(ctx, h, kern, r, level, curCPlus)
 		stop()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		level = next
 		dropped := prevPart
 		prevErr, prevPart = curErr, curPart
 		prevRecs = curRecs
 		for _, p := range dropped {
-			cfg.Budget.Release(p)
+			h.Budget.Release(p)
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	// Terminal boundary: an empty frontier, so resuming a snapshot taken
 	// after completion (or after a budget degrade) replays no work and
 	// re-emits the same cover.
 	level = nil
 	tick(true)
-	if cfg.TopK != nil {
-		out = cfg.TopK.FDs() // already in ranking order
-	} else {
-		dep.Sort(out)
-	}
-	rs.FDs = int64(len(out))
-	flushTopK()
-	flushCacheStats()
-	pool.FoldRetryStats(rs)
-	pool.FoldShardStats(rs)
-	rs.Finish(nil)
-	return out, rs, nil
+	dep.Sort(out) // empty under top-k: the harness returns the collector's FDs
+	return out, nil
 }
 
 // keyFDMinimal decides whether the key FD X → A (X a superkey, A outside
@@ -567,7 +414,8 @@ func keyFDMinimal(ctx context.Context, kern *partition.Kernels, r *relation.Rela
 // refines the parent with the smaller ‖π‖. Candidates whose π_X the
 // shared cache already holds skip the product entirely; fresh products are
 // published to the cache for later levels, verification and other runs.
-func nextLevel(ctx context.Context, kern *partition.Kernels, r *relation.Relation, level []*candidate, curCPlus map[string]bitset.Set, rs *engine.RunStats, cfg *Config) ([]*candidate, error) {
+func nextLevel(ctx context.Context, h *runstate.Harness, kern *partition.Kernels, r *relation.Relation, level []*candidate, curCPlus map[string]bitset.Set) ([]*candidate, error) {
+	rs := h.RS
 	n := r.NumCols()
 	alive := level[:0:0]
 	for _, c := range level {
@@ -610,10 +458,10 @@ func nextLevel(ctx context.Context, kern *partition.Kernels, r *relation.Relatio
 				attrs: union.Attrs(),
 				cplus: cplus,
 			}
-			if p := cfg.Cache.Get(union); p != nil {
+			if p := h.Cache.Get(union); p != nil {
 				c.part = p
 				c.err = p.Error()
-				cfg.Budget.ChargeBytes(partition.Cost(p))
+				h.Budget.ChargeBytes(partition.Cost(p))
 			} else {
 				part, col := a.part, b.attrs[len(b.attrs)-1]
 				if b.part.Size() < a.part.Size() {
@@ -634,8 +482,8 @@ func nextLevel(ctx context.Context, kern *partition.Kernels, r *relation.Relatio
 		c.part = p
 		c.err = p.Error()
 		rs.RowsScanned += int64(jobs[k].Part.Size())
-		cfg.Budget.Charge(p)
-		cfg.Cache.Put(c.set, p)
+		h.Budget.Charge(p)
+		h.Cache.Put(c.set, p)
 	}
 	rs.PartitionsBuilt += int64(len(jobs))
 	return next, nil

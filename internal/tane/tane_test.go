@@ -10,7 +10,19 @@ import (
 	"repro/internal/dep"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/runstate"
 )
+
+// discoverFDs runs TANE with default settings, failing the test on an
+// error.
+func discoverFDs(t testing.TB, r *relation.Relation) []dep.FD {
+	t.Helper()
+	fds, _, err := Run(context.Background(), r, runstate.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fds
+}
 
 func TestDiscoverTiny(t *testing.T) {
 	// a -> b (codes equal per a), c independent.
@@ -19,7 +31,7 @@ func TestDiscoverTiny(t *testing.T) {
 		{5, 5, 6, 6},
 		{0, 1, 0, 1},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -32,7 +44,7 @@ func TestDiscoverConstantColumn(t *testing.T) {
 		{0, 0, 0},
 		{0, 1, 2},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	// ∅→col0 must be found; col1 is a key so col1→col0 is non-minimal.
 	foundEmpty := false
 	for _, f := range got {
@@ -59,7 +71,7 @@ func TestDiscoverKeyFDs(t *testing.T) {
 		{0, 0, 1, 1},
 		{0, 1, 1, 0},
 	}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, b := dep.Diff(got, want, r.Names)
@@ -71,7 +83,7 @@ func TestDiscoverEmptyAndSingleRow(t *testing.T) {
 	// A single-row relation satisfies every FD; minimal cover is ∅→A for
 	// all A.
 	r := relation.FromCodes(nil, [][]int32{{0}, {0}}, nil, relation.NullEqNull)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	if len(got) != 2 {
 		t.Fatalf("single row cover = %v", got)
 	}
@@ -89,7 +101,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		cols := 2 + rng.Intn(5)
 		card := 1 + rng.Intn(4)
 		r := dataset.Random(rng, rows, cols, card)
-		got := Discover(r)
+		got := discoverFDs(t, r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -103,7 +115,7 @@ func TestAgainstBruteMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 15; trial++ {
 		r := dataset.RandomMixed(rng, 10+rng.Intn(40), 2+rng.Intn(5))
-		got := Discover(r)
+		got := discoverFDs(t, r)
 		want := brute.MinimalFDs(r)
 		if !dep.Equal(got, want) {
 			a, b := dep.Diff(got, want, r.Names)
@@ -135,7 +147,7 @@ func TestDiscoverCtxCancelled(t *testing.T) {
 	cancel()
 	rng := rand.New(rand.NewSource(1))
 	r := dataset.Random(rng, 50, 6, 3)
-	if _, err := DiscoverCtx(ctx, r); err == nil {
+	if _, _, err := Run(ctx, r, runstate.Env{}); err == nil {
 		t.Error("cancelled context must surface an error")
 	}
 }
@@ -147,7 +159,7 @@ func TestDiscoverWideLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := b.Generate(400, 12)
-	got := Discover(r)
+	got := discoverFDs(t, r)
 	want := brute.MinimalFDs(r)
 	if !dep.Equal(got, want) {
 		a, bb := dep.Diff(got, want, r.Names)
@@ -173,11 +185,11 @@ func TestAgainstBruteMatrix(t *testing.T) {
 			want := brute.MinimalFDs(r)
 			for _, workers := range []int{1, 3} {
 				for _, cached := range []bool{false, true} {
-					cfg := Config{Workers: workers}
+					env := runstate.Env{Workers: workers}
 					if cached {
-						cfg.Cache = partition.NewCache(1<<30, nil)
+						env.Cache = partition.NewCache(1<<30, nil)
 					}
-					got, _, err := Run(context.Background(), r, cfg)
+					got, _, err := Run(context.Background(), r, env)
 					if err != nil {
 						t.Fatal(err)
 					}
