@@ -118,11 +118,15 @@ chaos:
 crash:
 	$(GO) run ./cmd/crashcheck
 
-# A ~10s native-fuzzing smoke pass over the CSV reader and the discovery
-# pipeline. Longer runs: go test -fuzz=FuzzReadCSV ./internal/relation/
+# A ~20s native-fuzzing smoke pass over the CSV reader, the discovery
+# pipeline, DHyFD and FDEP2 against the brute-force oracle, and FD-tree
+# induction against the classic tree (minimality checked after every
+# agree set). Longer runs: go test -fuzz=FuzzReadCSV ./internal/relation/
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime 5s -run '^$$' ./internal/relation/
 	$(GO) test -fuzz=FuzzDiscoverSmall -fuzztime 5s -run '^$$' ./internal/integration/
+	$(GO) test -fuzz=FuzzDiscoverMatchesBrute -fuzztime 5s -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzInductMinimal -fuzztime 5s -run '^$$' ./internal/fdtree/
 
 # The default verify path: build, vet, formatting and the invariant
 # analyzers, then the full suite under the race detector (which includes

@@ -251,7 +251,10 @@ func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness, ra
 		// validator's exported counters and the measures are assigned from
 		// the snapshot — finish() reads them, so the resumed report is
 		// cumulative.
-		tree = h.Resume.Tree.Restore()
+		if tree, err = h.Resume.Tree.Restore(); err != nil {
+			stop()
+			return nil, err
+		}
 		nonFDs = h.Resume.NonFDs.Restore()
 		if nonFDs == nil {
 			nonFDs = sampling.NewNonFDSet(n)

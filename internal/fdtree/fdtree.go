@@ -11,8 +11,9 @@
 // The trees maintain the minimality invariant discovery needs: no FD in the
 // tree has a generalization (same RHS attribute, subset LHS) elsewhere in
 // the tree. Synergized induction (Algorithm 2) preserves the invariant by
-// filtering candidate RHSs against existing generalizations and deleting
-// specializations of newly inserted FDs.
+// filtering candidate RHSs against existing generalizations alone: on a
+// minimal tree, and for a non-FD whose LHS and RHS are disjoint, no
+// candidate it inserts can have a specialization already in the tree.
 //
 // Every extended-tree node carries two one-word summaries that prune the
 // induction walks: below, a superset of the RHS attributes at or below the
@@ -50,7 +51,8 @@ type Node struct {
 	ID int
 
 	// below is a summary-word superset of the RHS attributes at or below
-	// the node: grown on every insertion, tightened by removal walks.
+	// the node: grown on every insertion, tightened by the induction walk
+	// on its way back up.
 	below uint64
 	// childMask is the summary word of the children's attributes.
 	childMask uint64
@@ -256,17 +258,12 @@ type Tree struct {
 	// their own attribute. FDEP-style uses of the tree leave it at 0.
 	ControlledLevel int
 
-	// maxFDDepth is a monotone upper bound on the depth of any FD-node
-	// ever inserted. Specialization removal for a new FD at depth d can be
-	// skipped entirely when d >= maxFDDepth: no strictly deeper FD exists.
-	maxFDDepth int
-
 	// Induction scratch. The tree is single-writer (induction is serial
 	// in every algorithm), so these are reused across calls: attrsBuf by
-	// CoveredRHS/RemoveSpecializations, xAttrs by Induct's outer walk —
-	// which is live while the former run — remBuf by Induct for the RHS
-	// attributes it hands to specialize, and the other sets by
-	// AddMinimalFD and specialize.
+	// the generalization check, xAttrs by Induct's outer walk — which is
+	// live while the former runs — remBuf by Induct for the RHS attributes
+	// it hands to specialize, and the other sets by addUncovered and
+	// specialize.
 	attrsBuf, xAttrs                     []int
 	covBuf, candBuf, remBuf              bitset.Set
 	outsideBuf, lhsBuf, restBuf, pathBuf bitset.Set
@@ -312,40 +309,37 @@ func (t *Tree) CountFDs() int { return int(t.root.subtree) }
 func (t *Tree) newRHS() bitset.Set { return make(bitset.Set, t.words) }
 
 // bump walks from n up to the root, adjusting the subtree counters by
-// delta and widening the below summaries by the RHS summary rhs, and
-// returns n's depth. Removals pass rhs = 0: a summary only has to stay a
-// superset, and the removal walks tighten it on their way back up.
-func (t *Tree) bump(n *Node, delta int, rhs uint64) int {
-	d := -1
+// delta and widening the below summaries by the RHS summary rhs. Removals
+// pass rhs = 0: a summary only has to stay a superset, and the induction
+// walk tightens it on its way back up.
+func (t *Tree) bump(n *Node, delta int, rhs uint64) {
 	for cur := n; cur != nil; cur = cur.parent {
 		cur.subtree += int32(delta)
 		cur.below |= rhs
-		d++
 	}
-	return d
 }
 
 // AddFD inserts lhs → rhs without any minimality filtering, creating the
-// path as needed (Algorithm 1). Most callers want AddMinimalFD instead.
+// path as needed (Algorithm 1), and returns the FD-node.
 func (t *Tree) AddFD(lhs, rhs bitset.Set) *Node {
 	node := t.addPath(lhs)
+	t.addRHSSet(node, rhs)
+	return node
+}
+
+// addRHSSet unions rhs into node's RHS, maintaining the subtree counters
+// and summaries, and returns the number of RHS attributes it added.
+func (t *Tree) addRHSSet(node *Node, rhs bitset.Set) int {
 	if node.RHS == nil {
 		node.RHS = t.newRHS()
 	}
 	before := node.RHS.Count()
 	node.RHS.UnionWith(rhs)
-	if added := node.RHS.Count() - before; added > 0 {
+	added := node.RHS.Count() - before
+	if added > 0 {
 		t.bump(node, added, summary(rhs))
 	}
-	t.noteFDDepth(lhs.Count())
-	return node
-}
-
-// noteFDDepth records that an FD-node exists at the given depth.
-func (t *Tree) noteFDDepth(d int) {
-	if d > t.maxFDDepth {
-		t.maxFDDepth = d
-	}
+	return added
 }
 
 // addPath walks the path for lhs, creating missing nodes with the id rule
@@ -397,14 +391,15 @@ func (t *Tree) AddRHS(n *Node, a int) {
 		return
 	}
 	n.RHS.Add(a)
-	t.noteFDDepth(t.bump(n, 1, attrBit(a)))
+	t.bump(n, 1, attrBit(a))
 }
 
-// AddMinimalFD inserts lhs → rhs while maintaining minimality: RHS
-// attributes already covered by a generalization in the tree are dropped,
-// and specializations of the inserted FDs are removed. It returns the
-// number of FDs actually inserted.
-func (t *Tree) AddMinimalFD(lhs, rhs bitset.Set) int {
+// addUncovered inserts lhs → rhs minus its trivial attributes and minus
+// the attributes some FD Z → B with Z ⊆ lhs already covers, and returns
+// the number of FDs it inserted. It removes nothing: on a minimal tree,
+// the candidates specialize inserts have no specializations to remove
+// (see Induct).
+func (t *Tree) addUncovered(lhs, rhs bitset.Set) int {
 	cand := t.scratchSet(&t.candBuf)
 	copy(cand, rhs)
 	cand.DifferenceWith(lhs) // non-trivial only
@@ -418,23 +413,7 @@ func (t *Tree) AddMinimalFD(lhs, rhs bitset.Set) int {
 	if cand.IsEmpty() {
 		return 0
 	}
-	if lhs.Count() < t.maxFDDepth {
-		// A specialization needs a strictly longer path; skip the walk
-		// when the tree provably has no FD-node that deep.
-		t.RemoveSpecializations(lhs, cand)
-	}
-	node := t.addPath(lhs)
-	if node.RHS == nil {
-		node.RHS = t.newRHS()
-	}
-	before := node.RHS.Count()
-	node.RHS.UnionWith(cand)
-	added := node.RHS.Count() - before
-	if added > 0 {
-		t.bump(node, added, summary(cand))
-	}
-	t.noteFDDepth(lhs.Count())
-	return added
+	return t.addRHSSet(t.addPath(lhs), cand)
 }
 
 // CoveredRHS returns the subset of cand covered by some FD Z → B in the
@@ -494,80 +473,17 @@ func (t *Tree) coveredRec(cur *Node, low uint64, high []int, cand, acc bitset.Se
 	return false
 }
 
-// ContainsGeneralization reports whether the tree holds an FD Z → a with
-// Z ⊆ lhs.
-func (t *Tree) ContainsGeneralization(lhs bitset.Set, a int) bool {
-	cand := t.newRHS()
-	cand.Add(a)
-	return t.CoveredRHS(lhs, cand).Contains(a)
-}
-
-// RemoveSpecializations deletes every FD W → B with lhs ⊆ W and B ∈ rhs
-// from the tree (the FD at W = lhs itself included; callers insert the new
-// FD afterwards, so clearing an equal node first is harmless).
-func (t *Tree) RemoveSpecializations(lhs, rhs bitset.Set) {
-	t.attrsBuf = lhs.AppendAttrs(t.attrsBuf[:0])
-	t.removeSpecRec(t.root, t.attrsBuf, 0, rhs, summary(rhs))
-}
-
-// removeSpecRec clears rhs (summary sum) from every FD-node below cur
-// whose path holds remaining[i:], and returns the number of FDs removed.
-// Each node on the walk settles its own subtree counter and tightens its
-// summary on the way back up, so no removal walks to the root.
-func (t *Tree) removeSpecRec(cur *Node, remaining []int, i int, rhs bitset.Set, sum uint64) int {
-	if i >= len(remaining) {
-		// Every lhs attribute matched: clear rhs bits in this whole subtree.
-		return t.clearSubtree(cur, rhs, sum)
-	}
-	m := remaining[i]
-	removed := 0
-	for _, c := range cur.children {
-		if int(c.Attr) > m {
-			break // m can no longer occur below later children
-		}
-		if c.subtree == 0 || c.below&sum == 0 {
-			continue
-		}
-		if int(c.Attr) == m {
-			removed += t.removeSpecRec(c, remaining, i+1, rhs, sum)
-		} else {
-			removed += t.removeSpecRec(c, remaining, i, rhs, sum)
-		}
-	}
-	if removed > 0 {
-		cur.subtree -= int32(removed)
-		cur.tighten()
-	}
-	return removed
-}
-
-// clearSubtree clears rhs (summary sum) from every FD-node at or below cur
-// and returns the number of FDs removed, settling counters and summaries
-// like removeSpecRec.
-func (t *Tree) clearSubtree(cur *Node, rhs bitset.Set, sum uint64) int {
-	if cur.subtree == 0 || cur.below&sum == 0 {
-		return 0
-	}
-	removed := 0
-	if cur.RHS != nil && cur.RHS.Intersects(rhs) {
-		before := cur.RHS.Count()
-		cur.RHS.DifferenceWith(rhs)
-		removed = before - cur.RHS.Count()
-	}
-	for _, c := range cur.children {
-		removed += t.clearSubtree(c, rhs, sum)
-	}
-	if removed > 0 {
-		cur.subtree -= int32(removed)
-		cur.tighten()
-	}
-	return removed
-}
-
 // Induct applies the non-FD x ↛ y with synergized induction (Algorithm 2):
 // every FD X' → Y' in the tree with X' ⊆ x and Y' ∩ y ≠ ∅ loses the
 // intersecting RHS attributes, and all non-trivial minimal specializations
 // are inserted. It returns the number of FDs removed.
+//
+// x and y must be disjoint. Every candidate the walk inserts then has
+// exactly one attribute outside x, and minimality alone keeps out its
+// specializations: one already in the tree, from before the walk or from
+// earlier in it, would imply two FDs P → A and P′ → A with P ⊊ P′ in the
+// tree before the walk. So nothing is ever removed to make room for a
+// candidate (DESIGN.md, "FD-tree node summaries").
 func (t *Tree) Induct(x, y bitset.Set) int {
 	removedTotal := 0
 	t.xAttrs = x.AppendAttrs(t.xAttrs[:0])
@@ -646,7 +562,7 @@ func (t *Tree) specialize(path, x, removed bitset.Set) {
 			continue
 		}
 		lhs.Add(a)
-		t.AddMinimalFD(lhs, removed)
+		t.addUncovered(lhs, removed)
 		lhs.Remove(a)
 	}
 	// Rule 2: move one removed attribute onto the LHS.
@@ -656,7 +572,7 @@ func (t *Tree) specialize(path, x, removed bitset.Set) {
 			lhs.Add(a)
 			copy(rest, removed)
 			rest.Remove(a)
-			t.AddMinimalFD(lhs, rest)
+			t.addUncovered(lhs, rest)
 			lhs.Remove(a)
 		}
 	}

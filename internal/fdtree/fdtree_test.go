@@ -1,6 +1,7 @@
 package fdtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -112,15 +113,21 @@ func TestExample3(t *testing.T) {
 	}
 }
 
-func TestAddMinimalFDFiltersGeneralizations(t *testing.T) {
+// containsGeneralization reports whether the tree holds an FD Z → a with
+// Z ⊆ lhs.
+func containsGeneralization(tr *Tree, lhs bitset.Set, a int) bool {
+	return tr.CoveredRHS(lhs, bitset.FromAttrs(tr.numAttrs, a)).Contains(a)
+}
+
+func TestAddUncoveredFiltersGeneralizations(t *testing.T) {
 	tr := New(4)
 	tr.AddFD(set(4, A), set(4, B))
 	// A→B exists; adding AC→{B,D} must only add AC→D.
-	added := tr.AddMinimalFD(set(4, A, C), set(4, B, D))
+	added := tr.addUncovered(set(4, A, C), set(4, B, D))
 	if added != 1 {
 		t.Errorf("added = %d, want 1", added)
 	}
-	if tr.ContainsGeneralization(set(4, A, C), B) != true {
+	if !containsGeneralization(tr, set(4, A, C), B) {
 		t.Error("A→B should cover B")
 	}
 	node := tr.Root().child(A).child(C)
@@ -129,30 +136,13 @@ func TestAddMinimalFDFiltersGeneralizations(t *testing.T) {
 	}
 }
 
-func TestAddMinimalFDRemovesSpecializations(t *testing.T) {
+func TestAddUncoveredTrivialAndCoveredNoop(t *testing.T) {
 	tr := New(4)
-	tr.AddFD(set(4, A, C), set(4, B))
-	tr.AddFD(set(4, A, C, D), set(4, B)) // artificial non-minimal state
-	added := tr.AddMinimalFD(set(4, A), set(4, B))
-	if added != 1 {
-		t.Errorf("added = %d", added)
-	}
-	fds := fdsOf(tr)
-	if len(fds) != 1 || !fds[dep.FD{LHS: set(4, A), RHS: set(4, B)}.String()] {
-		t.Errorf("specializations not removed: %v", fds)
-	}
-	if tr.CountFDs() != 1 {
-		t.Errorf("CountFDs = %d", tr.CountFDs())
-	}
-}
-
-func TestAddMinimalFDTrivialAndCoveredNoop(t *testing.T) {
-	tr := New(4)
-	if tr.AddMinimalFD(set(4, A, B), set(4, A)) != 0 {
+	if tr.addUncovered(set(4, A, B), set(4, A)) != 0 {
 		t.Error("trivial FD should not be added")
 	}
 	tr.AddFD(set(4, A), set(4, B))
-	if tr.AddMinimalFD(set(4, A), set(4, B)) != 0 {
+	if tr.addUncovered(set(4, A), set(4, B)) != 0 {
 		t.Error("duplicate FD should not be added")
 	}
 }
@@ -191,13 +181,21 @@ func TestSubtreeCounters(t *testing.T) {
 	if nodeA.SubtreeFDs() != 3 {
 		t.Errorf("subtree(A) = %d", nodeA.SubtreeFDs())
 	}
-	tr.RemoveSpecializations(set(5, A, C), set(5, D, E))
-	if tr.CountFDs() != 1 || nodeA.SubtreeFDs() != 1 {
-		t.Errorf("after removal: count=%d subtree(A)=%d", tr.CountFDs(), nodeA.SubtreeFDs())
+	nodeAC := nodeA.child(C)
+	tr.RemoveRHS(nodeAC, D)
+	tr.RemoveRHS(nodeAC, D) // absent attribute: no-op
+	tr.RemoveRHS(nodeAC, E)
+	if tr.CountFDs() != 1 || nodeA.SubtreeFDs() != 1 || nodeAC.SubtreeFDs() != 0 {
+		t.Errorf("after removal: count=%d subtree(A)=%d subtree(AC)=%d",
+			tr.CountFDs(), nodeA.SubtreeFDs(), nodeAC.SubtreeFDs())
 	}
 	// The AC node is dead; level 2 must be empty.
 	if nodes := tr.NodesAtLevel(2); len(nodes) != 0 {
 		t.Errorf("level 2 = %d nodes", len(nodes))
+	}
+	tr.AddRHS(nodeAC, E)
+	if tr.CountFDs() != 2 || nodeA.SubtreeFDs() != 2 || len(tr.NodesAtLevel(2)) != 1 {
+		t.Errorf("after re-adding AC→E: count=%d subtree(A)=%d", tr.CountFDs(), nodeA.SubtreeFDs())
 	}
 }
 
@@ -291,20 +289,9 @@ func TestClassicVsSynergizedEquivalence(t *testing.T) {
 		cls := NewClassicWithFullRHS(n)
 		nonFDs := randomNonFDs(rng, n, 1+rng.Intn(12))
 		for _, x := range nonFDs {
-			y := bitset.Full(n)
-			y.DifferenceWith(x)
-			ext.Induct(x, y)
-			for a := y.Next(0); a >= 0; a = y.Next(a + 1) {
-				cls.SpecializeClassic(x, a)
-			}
+			inductBoth(ext, cls, x, bitset.Full(n).Difference(x))
 		}
-		extFDs := dep.SplitRHS(ext.FDs())
-		clsFDs := dep.SplitRHS(cls.FDs())
-		if !dep.Equal(extFDs, clsFDs) {
-			onlyA, onlyB := dep.Diff(extFDs, clsFDs, nil)
-			t.Fatalf("trial %d: trees diverge.\nnon-FD LHSs: %v\nonly extended: %v\nonly classic: %v",
-				trial, nonFDs, onlyA, onlyB)
-		}
+		checkSameCover(t, ext, cls, fmt.Sprintf("trial %d (non-FD LHSs %v)", trial, nonFDs))
 	}
 }
 
@@ -338,17 +325,8 @@ func TestMinimalityInvariant(t *testing.T) {
 			y.DifferenceWith(x)
 			tr.Induct(x, y)
 		}
+		checkMinimal(t, tr, fmt.Sprintf("trial %d", trial))
 		fds := dep.SplitRHS(tr.FDs())
-		for i, f := range fds {
-			for j, g := range fds {
-				if i == j {
-					continue
-				}
-				if g.RHS.Equal(f.RHS) && g.LHS.IsSubsetOf(f.LHS) {
-					t.Fatalf("trial %d: %s has generalization %s", trial, f, g)
-				}
-			}
-		}
 		// Counter consistency.
 		if got := len(fds); got != tr.CountFDs() {
 			t.Fatalf("trial %d: CountFDs=%d but extracted %d", trial, tr.CountFDs(), got)

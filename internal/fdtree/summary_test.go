@@ -1,6 +1,7 @@
 package fdtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -62,22 +63,11 @@ func TestWideSchemaDifferential(t *testing.T) {
 			for k := 8 + rng.Intn(12); k > 0; k-- {
 				x := sparseNonFD(rng, n)
 				nonFDs = append(nonFDs, x)
-				y := bitset.Full(n)
-				y.DifferenceWith(x)
-				ext.Induct(x, y)
-				for a := y.Next(0); a >= 0; a = y.Next(a + 1) {
-					cls.SpecializeClassic(x, a)
-				}
+				inductBoth(ext, cls, x, bitset.Full(n).Difference(x))
 			}
-			extFDs := dep.SplitRHS(ext.FDs())
-			clsFDs := dep.SplitRHS(cls.FDs())
-			if !dep.Equal(extFDs, clsFDs) {
-				onlyA, onlyB := dep.Diff(extFDs, clsFDs, nil)
-				t.Fatalf("n=%d trial %d: trees diverge.\nnon-FDs miss: %v\nonly extended: %v\nonly classic: %v",
-					n, trial, missing(n, nonFDs), onlyA, onlyB)
-			}
-			if got := ext.CountFDs(); got != len(extFDs) {
-				t.Fatalf("n=%d trial %d: CountFDs = %d, extracted %d", n, trial, got, len(extFDs))
+			checkSameCover(t, ext, cls, fmt.Sprintf("n=%d trial %d (non-FDs miss %v)", n, trial, missing(n, nonFDs)))
+			if got, want := ext.CountFDs(), len(dep.SplitRHS(ext.FDs())); got != want {
+				t.Fatalf("n=%d trial %d: CountFDs = %d, extracted %d", n, trial, got, want)
 			}
 			checkInvariants(t, ext)
 		}
@@ -205,8 +195,8 @@ func TestSummaryInvariants(t *testing.T) {
 					}
 					tr.Induct(node.Path(n), invalid)
 				case 2:
-					op = "AddMinimalFD"
-					tr.AddMinimalFD(randSet(rng.Intn(4)), randSet(1+rng.Intn(2)))
+					op = "addUncovered"
+					tr.addUncovered(randSet(rng.Intn(4)), randSet(1+rng.Intn(2)))
 				case 3:
 					op = "AddFD"
 					lhs := randSet(rng.Intn(3))
@@ -259,4 +249,117 @@ func TestRHSBelowWithin(t *testing.T) {
 			t.Errorf("n=%d: an empty tree is within the empty set", n)
 		}
 	}
+}
+
+// checkMinimal fails the test unless every FD in the tree is non-trivial
+// and has no generalization with a shared RHS attribute in the tree — the
+// invariant induction keeps without any specialization removal. It scans
+// every pair of FD-nodes, independent of the pruned walks under test.
+func checkMinimal(t *testing.T, tr *Tree, context string) {
+	t.Helper()
+	fds := tr.FDs()
+	for _, f := range fds {
+		if f.RHS.Intersects(f.LHS) {
+			t.Fatalf("%s: trivial FD %s", context, f)
+		}
+		for _, g := range fds {
+			if g.LHS.IsSubsetOf(f.LHS) && !g.LHS.Equal(f.LHS) && g.RHS.Intersects(f.RHS) {
+				t.Fatalf("%s: %s has the generalization %s", context, f, g)
+			}
+		}
+	}
+}
+
+// checkSameCover fails the test unless the extended and the classic tree
+// hold the same FDs.
+func checkSameCover(t *testing.T, ext *Tree, cls *ClassicTree, context string) {
+	t.Helper()
+	extFDs, clsFDs := dep.SplitRHS(ext.FDs()), dep.SplitRHS(cls.FDs())
+	if !dep.Equal(extFDs, clsFDs) {
+		onlyExt, onlyCls := dep.Diff(extFDs, clsFDs, nil)
+		t.Fatalf("%s: trees diverge.\nonly extended: %v\nonly classic: %v", context, onlyExt, onlyCls)
+	}
+}
+
+// inductBoth applies the non-FD x ↛ y to the extended tree and, one RHS
+// attribute at a time, to the classic tree.
+func inductBoth(ext *Tree, cls *ClassicTree, x, y bitset.Set) {
+	ext.Induct(x, y)
+	for a := y.Next(0); a >= 0; a = y.Next(a + 1) {
+		cls.SpecializeClassic(x, a)
+	}
+}
+
+// TestInductKeepsMinimal runs random sequences of the two induction forms
+// discovery uses — a sampled non-FD Induct(x, R∖x) and a failed validation
+// Induct(lhs, invalid) — from ∅ → R, and after every step requires a
+// minimal tree whose cover equals per-attribute induction on a classic
+// tree.
+func TestInductKeepsMinimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{7, 70} {
+		for trial := 0; trial < 15; trial++ {
+			ext, cls := NewWithFullRHS(n), NewClassicWithFullRHS(n)
+			for step := 0; step < 30; step++ {
+				var x, y bitset.Set
+				op := "Induct(x, R∖x)"
+				if fdNodes := ext.FDs(); step%3 == 2 && len(fdNodes) > 0 {
+					op = "Induct(lhs, invalid)"
+					f := fdNodes[rng.Intn(len(fdNodes))]
+					x, y = f.LHS, bitset.New(n)
+					y.Add(f.RHS.Max())
+					if rng.Intn(2) == 0 {
+						y.Add(f.RHS.Min())
+					}
+				} else {
+					if n <= 8 {
+						x = randomNonFDs(rng, n, 1)[0]
+					} else {
+						x = sparseNonFD(rng, n)
+					}
+					y = bitset.Full(n).Difference(x)
+				}
+				inductBoth(ext, cls, x, y)
+				context := fmt.Sprintf("n=%d trial %d step %d %s", n, trial, step, op)
+				checkMinimal(t, ext, context)
+				checkSameCover(t, ext, cls, context)
+			}
+			checkInvariants(t, ext)
+		}
+	}
+}
+
+// FuzzInductMinimal decodes fuzz bytes into a schema width (first byte,
+// 1..8) and a sequence of agree sets (one byte each, masked to the width),
+// inducts each as the non-FD x ↛ R∖x, and checks the tree stays minimal
+// and equal to per-attribute induction on a classic tree. Run with:
+//
+//	go test -fuzz=FuzzInductMinimal ./internal/fdtree
+//
+// Without -fuzz the seed corpus (testdata/fuzz) runs as a regression test.
+func FuzzInductMinimal(f *testing.F) {
+	f.Add([]byte{4, 0b0011, 0b0101, 0b1000})
+	f.Add([]byte{7, 0x3f, 0x1f, 0x0f, 0x07, 0x03, 0x01, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0])%8 + 1
+		ext, cls := NewWithFullRHS(n), NewClassicWithFullRHS(n)
+		for i, b := range data[1:] {
+			x := bitset.New(n)
+			for a := 0; a < n; a++ {
+				if b&(1<<a) != 0 {
+					x.Add(a)
+				}
+			}
+			if x.Count() == n {
+				continue // a duplicate tuple pair implies no non-FD
+			}
+			inductBoth(ext, cls, x, bitset.Full(n).Difference(x))
+			context := fmt.Sprintf("n=%d agree set %d (%v)", n, i, x)
+			checkMinimal(t, ext, context)
+			checkSameCover(t, ext, cls, context)
+		}
+	})
 }

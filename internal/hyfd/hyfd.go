@@ -203,7 +203,10 @@ func discover(ctx context.Context, r *relation.Relation, h *runstate.Harness, sw
 		// sampler runs are the search state; root validation and the
 		// initial sampling already happened, so the run re-enters the level
 		// loop at the cursor with cumulative counters.
-		tree = h.Resume.Tree.Restore()
+		if tree, err = h.Resume.Tree.Restore(); err != nil {
+			stop()
+			return nil, err
+		}
 		nonFDs = h.Resume.NonFDs.Restore()
 		if nonFDs == nil {
 			nonFDs = sampling.NewNonFDSet(n)

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	dhyfd "repro"
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/dep"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/runstate"
 )
@@ -343,4 +345,99 @@ func TestRetryAbsorbsTransientFault(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResumeRejectsInconsistentSnapshots: a snapshot that passes its
+// checksum but whose FD-tree or non-FD set contradicts the run — a width
+// other than the relation's, an attribute beyond it, an empty or trivial
+// RHS, an FD with a same-RHS generalization — must be refused with
+// ErrCorrupt. Resuming from it would otherwise return a silently wrong
+// cover or panic.
+func TestResumeRejectsInconsistentSnapshots(t *testing.T) {
+	r := dataset.Random(rand.New(rand.NewSource(7)), 40, 8, 3)
+	ctx := context.Background()
+	// widen returns s with attribute 150 added, beyond any 8-column schema.
+	widen := func(s bitset.Set) bitset.Set {
+		w := make(bitset.Set, bitset.WordsFor(151))
+		copy(w, s)
+		w.Add(150)
+		return w
+	}
+	// withLHS returns the index of the first tree FD with a non-empty LHS.
+	withLHS := func(s *runstate.Snapshot) int {
+		for i, n := range s.Tree.Nodes {
+			if !n.LHS.IsEmpty() {
+				return i
+			}
+		}
+		t.Fatal("snapshot tree holds no FD with a non-empty LHS")
+		return -1
+	}
+	cases := map[string]func(s *runstate.Snapshot){
+		"tree-width":  func(s *runstate.Snapshot) { s.Tree.NumAttrs = 3 },
+		"nonfd-width": func(s *runstate.Snapshot) { s.NonFDs.NumAttrs = 3 },
+		"tree-lhs-attr-out-of-range": func(s *runstate.Snapshot) {
+			s.Tree.Nodes[0].LHS = widen(s.Tree.Nodes[0].LHS)
+		},
+		"tree-rhs-attr-out-of-range": func(s *runstate.Snapshot) {
+			s.Tree.Nodes[0].RHS = widen(s.Tree.Nodes[0].RHS)
+		},
+		"nonfd-attr-out-of-range": func(s *runstate.Snapshot) {
+			s.NonFDs.Sets[0] = widen(s.NonFDs.Sets[0])
+		},
+		"empty-rhs": func(s *runstate.Snapshot) {
+			s.Tree.Nodes[0].RHS = bitset.New(8)
+		},
+		"trivial-rhs": func(s *runstate.Snapshot) {
+			n := &s.Tree.Nodes[withLHS(s)]
+			n.RHS = n.RHS.Union(n.LHS)
+		},
+		"non-minimal": func(s *runstate.Snapshot) {
+			// A specialization of an FD already in the tree.
+			n := s.Tree.Nodes[withLHS(s)]
+			b := bitset.Full(8).Difference(n.LHS.Union(n.RHS)).Min()
+			if b < 0 {
+				t.Fatalf("no attribute left to specialize %v -> %v with", n.LHS, n.RHS)
+			}
+			lhs := n.LHS.Clone()
+			lhs.Add(b)
+			s.Tree.Nodes = append(s.Tree.Nodes, runstate.TreeNodeRec{LHS: lhs, RHS: n.RHS.Clone()})
+		},
+	}
+	for _, a := range []dhyfd.Algorithm{dhyfd.DHyFD, dhyfd.HyFD} {
+		healthy := t.TempDir()
+		if _, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithCheckpoint(healthy, tick)); err != nil {
+			t.Fatalf("%v: checkpointed run failed: %v", a, err)
+		}
+		for name, edit := range cases {
+			t.Run(fmt.Sprintf("%v/%s", a, name), func(t *testing.T) {
+				s, err := runstate.Load(healthy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Tree == nil || len(s.Tree.Nodes) == 0 || s.NonFDs == nil || len(s.NonFDs.Sets) == 0 {
+					t.Fatal("the healthy snapshot holds no tree FDs or non-FDs to damage")
+				}
+				edit(s)
+				dir := t.TempDir()
+				cp, err := runstate.NewCheckpointer(dir, 0, s.Fingerprint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cp.Tick(s); err != nil {
+					t.Fatal(err)
+				}
+				res, err := dhyfd.Discover(ctx, r, dhyfd.WithAlgorithm(a), dhyfd.WithResume(dir))
+				var pe *engine.PanicError
+				switch {
+				case errors.As(err, &pe):
+					t.Fatalf("resume panicked: %v", err)
+				case !errors.Is(err, runstate.ErrCorrupt):
+					t.Fatalf("got error %v with %d FDs, want ErrCorrupt", err, len(res.FDs))
+				case len(res.FDs) != 0:
+					t.Fatalf("refused resume still returned %d FDs", len(res.FDs))
+				}
+			})
+		}
+	}
 }

@@ -2,6 +2,7 @@ package runstate
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/bitset"
@@ -66,9 +67,13 @@ func TreeSnapOf(t *fdtree.Tree) *TreeSnap {
 // defaults AddFD assigns under the restored controlled level; the DDM the
 // ids index is rebuilt separately (or dropped — partitionFor falls back to
 // single-attribute refinement on a stale id), so defaults are correct.
-func (s *TreeSnap) Restore() *fdtree.Tree {
+//
+// Induction keeps the tree minimal and relies on it, so Restore refuses,
+// with ErrCorrupt, a tree where some FD has a generalization Z ⊊ LHS with
+// a shared RHS attribute.
+func (s *TreeSnap) Restore() (*fdtree.Tree, error) {
 	if s == nil {
-		return nil
+		return nil, nil
 	}
 	t := fdtree.New(int(s.NumAttrs))
 	t.ControlledLevel = int(s.ControlledLevel)
@@ -76,7 +81,17 @@ func (s *TreeSnap) Restore() *fdtree.Tree {
 		node := t.AddFD(n.LHS, n.RHS)
 		node.Pruned = n.Pruned
 	}
-	return t
+	for _, n := range s.Nodes {
+		sub := n.LHS.Clone()
+		for a := n.LHS.Next(0); a >= 0; a = n.LHS.Next(a + 1) {
+			sub.Remove(a)
+			if g := t.CoveredRHS(sub, n.RHS); !g.IsEmpty() {
+				return nil, fmt.Errorf("%w: FD-tree holds %v -> %v and a generalization of it onto %v", ErrCorrupt, n.LHS, n.RHS, g)
+			}
+			sub.Add(a)
+		}
+	}
+	return t, nil
 }
 
 // NonFDSnapOf captures the agree-set collection in insertion order. Nil

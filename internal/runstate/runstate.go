@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/relation"
 )
 
@@ -170,7 +171,8 @@ type Snapshot struct {
 
 // Load reads, verifies and decodes the snapshot in dir. It returns
 // ErrNoCheckpoint when no snapshot exists, ErrCorrupt on checksum or
-// decode failure, and ErrVersion on a format or section version skew.
+// decode failure or on sections inconsistent with the snapshot's own
+// fingerprint, and ErrVersion on a format or section version skew.
 func Load(dir string) (*Snapshot, error) {
 	data, err := os.ReadFile(Path(dir))
 	if err != nil {
@@ -179,7 +181,54 @@ func Load(dir string) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	return decodeFile(data)
+	s, err := decodeFile(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// check rejects a snapshot whose sections contradict its fingerprint: an
+// FD-tree or non-FD set as wide as some other relation, an attribute set
+// reaching past the relation's columns, or a tree FD with an empty or
+// trivial RHS. Resuming from such a snapshot would index past the
+// relation or induct from a tree that breaks the invariants the drivers
+// rely on.
+func (s *Snapshot) check() error {
+	cols := s.Fingerprint.Cols
+	var sets []bitset.Set
+	if t := s.Tree; t != nil {
+		if t.NumAttrs != cols {
+			return fmt.Errorf("%w: FD-tree is %d attributes wide, the relation %d", ErrCorrupt, t.NumAttrs, cols)
+		}
+		for _, n := range t.Nodes {
+			if n.RHS.IsEmpty() || n.RHS.Intersects(n.LHS) {
+				return fmt.Errorf("%w: FD-tree holds %v -> %v, an empty or trivial RHS", ErrCorrupt, n.LHS, n.RHS)
+			}
+			sets = append(sets, n.LHS, n.RHS)
+		}
+	}
+	if nf := s.NonFDs; nf != nil {
+		if nf.NumAttrs != cols {
+			return fmt.Errorf("%w: non-FD set is %d attributes wide, the relation %d", ErrCorrupt, nf.NumAttrs, cols)
+		}
+		sets = append(sets, nf.Sets...)
+	}
+	if tk := s.TopK; tk != nil {
+		for _, e := range tk.Entries {
+			sets = append(sets, e.LHS, e.RHS)
+		}
+	}
+	sets = append(sets, s.Manifest.Keys...)
+	for _, x := range sets {
+		if int64(x.Max()) >= cols {
+			return fmt.Errorf("%w: attribute set %v reaches past the relation's %d columns", ErrCorrupt, x, cols)
+		}
+	}
+	return nil
 }
 
 // Checkpointer writes snapshots on an interval. Tick, called at every

@@ -162,7 +162,7 @@ func TestLoadNeverPanicsOnFuzzedBytes(t *testing.T) {
 
 func TestCheckpointerIntervalAndFlush(t *testing.T) {
 	dir := t.TempDir()
-	cp, err := NewCheckpointer(dir, time.Hour, Fingerprint{Version: 1, Algorithm: "tane"})
+	cp, err := NewCheckpointer(dir, time.Hour, fullSnapshot().Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +209,38 @@ func TestCheckpointerIntervalAndFlush(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != filepath.Base(Path(dir)) {
 		t.Fatalf("directory not clean: %v", entries)
+	}
+}
+
+// TestLoadRejectsInconsistentSections: a snapshot whose checksum holds
+// but whose sections contradict its fingerprint fails Load with
+// ErrCorrupt. The FD-tree and non-FD cases run end to end in
+// internal/integration; these are the sections only Load inspects.
+func TestLoadRejectsInconsistentSections(t *testing.T) {
+	past := bitset.New(70)
+	past.Add(69)
+	cases := map[string]func(s *Snapshot){
+		"topk-attr":     func(s *Snapshot) { s.TopK.Entries[0].RHS = past },
+		"manifest-attr": func(s *Snapshot) { s.Manifest.Keys[1] = past },
+		"nonfd-attr":    func(s *Snapshot) { s.NonFDs.Sets[0] = past },
+		"trivial-rhs":   func(s *Snapshot) { s.Tree.Nodes[0].RHS.Add(0) },
+	}
+	for name, edit := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := fullSnapshot()
+			edit(s)
+			dir := t.TempDir()
+			cp, err := NewCheckpointer(dir, 0, s.Fingerprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.Tick(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

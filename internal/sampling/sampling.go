@@ -142,18 +142,32 @@ func NegativeCover(r *relation.Relation) *NonFDSet {
 // NegativeCoverCtx is NegativeCover with cooperative cancellation, checked
 // once per outer row.
 func NegativeCoverCtx(ctx context.Context, r *relation.Relation) (*NonFDSet, error) {
-	n := r.NumRows()
 	s := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for j := i + 1; j < n; j++ {
-			s.Add(AgreeSet(r, i, j, buf))
-		}
+	if err := coverRows(ctx, r, 0, r.NumRows(), s); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// coverRows adds to dst the agree sets of the row pairs (i, j) with
+// lo <= i < hi and i < j, in scan order. It checks ctx once per outer row
+// and returns its error, leaving dst partial, on cancellation. The serial
+// negative cover is the one range [0, rows); NegativeCoverSharded runs one
+// range per shard into shard-local sets.
+//
+//fd:shardkernel
+func coverRows(ctx context.Context, r *relation.Relation, lo, hi int, dst *NonFDSet) error {
+	buf := bitset.New(r.NumCols())
+	n := r.NumRows()
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for j := i + 1; j < n; j++ {
+			dst.Add(AgreeSet(r, i, j, buf))
+		}
+	}
+	return nil
 }
 
 // ClusterNeighborSample samples agree sets from each cluster of the given
@@ -164,20 +178,26 @@ func NegativeCoverCtx(ctx context.Context, r *relation.Relation) (*NonFDSet, err
 // number of comparisons are returned.
 func ClusterNeighborSample(r *relation.Relation, p *partition.Partition, distance int, dst *NonFDSet) (newNonFDs, comparisons int) {
 	faults.Check(faults.SamplingRun)
-	if distance < 1 {
-		distance = 1
-	}
+	return sampleClusters(r, p, 0, p.Card(), max(distance, 1), dst)
+}
+
+// sampleClusters runs the sorted-neighborhood pass over clusters [lo, hi)
+// of p into dst, and returns the number of new non-FDs and of comparisons.
+// The serial pass is the one range [0, Card()); the sharded pass runs one
+// range per shard into shard-local sets.
+//
+//fd:shardkernel
+func sampleClusters(r *relation.Relation, p *partition.Partition, lo, hi, distance int, dst *NonFDSet) (newNonFDs, comparisons int) {
 	buf := bitset.New(r.NumCols())
-	for i := 0; i < p.Card(); i++ {
+	for i := lo; i < hi; i++ {
 		cluster := p.Cluster(i)
 		if len(cluster) <= distance {
 			continue
 		}
 		sorted := sortedCluster(r, cluster)
-		for i := 0; i+distance < len(sorted); i++ {
+		for k := 0; k+distance < len(sorted); k++ {
 			comparisons++
-			a, b := int(sorted[i]), int(sorted[i+distance])
-			if dst.Add(AgreeSet(r, a, b, buf)) {
+			if dst.Add(AgreeSet(r, int(sorted[k]), int(sorted[k+distance]), buf)) {
 				newNonFDs++
 			}
 		}

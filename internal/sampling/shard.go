@@ -3,7 +3,6 @@ package sampling
 import (
 	"context"
 
-	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/partition"
@@ -38,17 +37,18 @@ func ClusterNeighborSampleSharded(ctx context.Context, pool *engine.Pool, r *rel
 		return newNonFDs, comparisons, nil
 	}
 	faults.Check(faults.SamplingRun)
-	if distance < 1 {
-		distance = 1
-	}
+	distance = max(distance, 1)
 
 	// Phase 1: sample each cluster range into a shard-local set.
-	// Re-running an item is safe: the kernel rebuilds the shard's local
-	// set from the immutable partition and relation.
+	// Re-running an item is safe: it samples into a fresh local set from
+	// the immutable partition and relation, and writes only its own
+	// locals[s] / comps[s] slots.
 	locals := make([]*NonFDSet, nshards)
 	comps := make([]int, nshards)
 	err = pool.Run(ctx, nshards, func(_, s int) {
-		sampleShard(r, p, cuts, distance, s, locals, comps)
+		local := NewNonFDSet(r.NumCols())
+		_, comps[s] = sampleClusters(r, p, cuts[s], cuts[s+1], distance, local)
+		locals[s] = local
 	})
 	if err != nil {
 		return 0, 0, err
@@ -95,9 +95,14 @@ func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Re
 		return NegativeCoverCtx(ctx, r)
 	}
 
+	// Each item scans outer rows [s*shardSize, hi) into a fresh local set
+	// written only to its own locals[s] slot, so re-running it is safe.
+	// A cancelled scan leaves its set partial, and Run returns ctx.Err().
 	locals := make([]*NonFDSet, nshards)
 	err := pool.Run(ctx, nshards, func(_, s int) {
-		coverShard(r, shardSize, s, locals)
+		locals[s] = NewNonFDSet(r.NumCols())
+		lo := s * shardSize
+		_ = coverRows(ctx, r, lo, min(lo+shardSize, n), locals[s])
 	})
 	if err != nil {
 		return nil, err
@@ -119,49 +124,4 @@ func NegativeCoverSharded(ctx context.Context, pool *engine.Pool, r *relation.Re
 	}
 	pool.CountShards(int64(nshards), rows)
 	return out, nil
-}
-
-// sampleShard is the phase-1 kernel of ClusterNeighborSampleSharded:
-// shard s's cluster range samples into a fresh shard-local set, and the
-// only writes that leave the kernel land in its disjoint locals[s] /
-// comps[s] slots — which is what makes re-running the item after a
-// transient failure safe.
-//
-//fd:shardkernel
-func sampleShard(r *relation.Relation, p *partition.Partition, cuts []int, distance, s int, locals []*NonFDSet, comps []int) {
-	local := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	n := 0
-	for i := cuts[s]; i < cuts[s+1]; i++ {
-		cluster := p.Cluster(i)
-		if len(cluster) <= distance {
-			continue
-		}
-		sorted := sortedCluster(r, cluster)
-		for i := 0; i+distance < len(sorted); i++ {
-			n++
-			a, b := int(sorted[i]), int(sorted[i+distance])
-			local.Add(AgreeSet(r, a, b, buf))
-		}
-	}
-	locals[s], comps[s] = local, n
-}
-
-// coverShard is the phase-1 kernel of NegativeCoverSharded: outer rows
-// [s*shardSize, hi) scan against all later rows into a fresh local set,
-// written only to the shard's disjoint locals[s] slot.
-//
-//fd:shardkernel
-func coverShard(r *relation.Relation, shardSize, s int, locals []*NonFDSet) {
-	local := NewNonFDSet(r.NumCols())
-	buf := bitset.New(r.NumCols())
-	n := r.NumRows()
-	lo := s * shardSize
-	hi := min(lo+shardSize, n)
-	for i := lo; i < hi; i++ {
-		for j := i + 1; j < n; j++ {
-			local.Add(AgreeSet(r, i, j, buf))
-		}
-	}
-	locals[s] = local
 }
